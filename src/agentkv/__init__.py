@@ -10,7 +10,6 @@ from .codec import (
     fp16_bytes,
     memory_ratio,
     q4_bytes,
-    quantize_group,
     quantize_tensor,
 )
 from .engine import Engine, EngineCounters, SyntheticEngine
@@ -65,7 +64,6 @@ __all__ = [
     "oracle_attention",
     "preset",
     "q4_bytes",
-    "quantize_group",
     "quantize_tensor",
     "save_agent",
     "sliding_window",

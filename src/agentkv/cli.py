@@ -113,8 +113,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    if args.cooldown:
-        time.sleep(0)  # thermal cooldown hook; a no-op at desk scale
     report = run_scenario(
         args.name,
         Path(args.work_dir),
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--trace", default="", help="write the event trace as JSON lines")
     p.add_argument("--plot", default="", help="write an SVG reuse chart")
-    p.add_argument("--cooldown", action="store_true")
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("bench-codec", help="codec throughput micro-benchmark")

@@ -30,7 +30,6 @@ __all__ = [
     "memory_ratio",
     "pack_codes",
     "quantize_array",
-    "quantize_group",
     "quantize_tensor",
     "q4_bytes",
     "q4_tensor_bytes",
@@ -141,34 +140,6 @@ def dequantize_array(
     scale = bf16_bits_to_f32(scale_bits)[..., None]
     bias = bf16_bits_to_f32(bias_bits)[..., None]
     return (scale * groups + bias).reshape(*codes.shape[:-1], dim).astype(np.float32)
-
-
-def quantize_group(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Quantize one group; returns (codes, scale, bias) with bf16-valued floats."""
-    v = np.asarray(values, dtype=np.float32)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError("group must be a non-empty 1-D array")
-    if not np.isfinite(v).all():
-        raise InvalidValueError("values must be finite")
-    vmin = np.float32(v.min())
-    vmax = np.float32(v.max())
-    scale_f32 = np.float32((vmax - vmin) / np.float32(15.0))
-    bias_bits = f32_to_bf16_bits(vmin.reshape(1))
-    scale_bits = f32_to_bf16_bits(scale_f32.reshape(1))
-    if (scale_bits[0] & np.uint16(0x7FFF)) == 0:
-        scale_bits = np.array([_BF16_ONE], dtype=np.uint16)
-        codes = np.zeros(v.size, dtype=np.uint8)
-    else:
-        _check_bf16_finite(scale_bits, "group scale")
-        scale = bf16_bits_to_f32(scale_bits)[0]
-        bias = bf16_bits_to_f32(bias_bits)[0]
-        codes = np.clip(np.rint((v - bias) / scale), 0.0, 15.0).astype(np.uint8)
-    _check_bf16_finite(bias_bits, "group bias")
-    return (
-        codes,
-        float(bf16_bits_to_f32(scale_bits)[0]),
-        float(bf16_bits_to_f32(bias_bits)[0]),
-    )
 
 
 @dataclass

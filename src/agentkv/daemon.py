@@ -120,7 +120,6 @@ class CacheDaemon:
         self._stop = threading.Event()
         self._listener: socket.socket | None = None
         self._submitters: dict[str, _Connection] = {}
-        self._threads: list[threading.Thread] = []
 
     # -- worker lane ---------------------------------------------------------
 
@@ -157,12 +156,7 @@ class CacheDaemon:
         """Stream request events to their submitters; return the system ones."""
         system = []
         for event in events:
-            payload = {
-                "kind": event.kind.value,
-                "request_id": event.request_id,
-                "payload": event.payload,
-                "tick": event.tick,
-            }
+            payload = event.to_json_dict()
             conn = self._submitters.get(event.request_id) if event.request_id else None
             if conn is not None:
                 conn.send_line({"event": payload})
@@ -428,11 +422,7 @@ class CacheDaemon:
             except OSError:
                 return
             conn = _Connection(client)
-            thread = threading.Thread(
-                target=self._reader_loop, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
 
     def bind(self) -> str:
         """Bind the listening socket; returns its address for clients."""
@@ -457,12 +447,8 @@ class CacheDaemon:
         """Run until shutdown; call bind() first."""
         if self._listener is None:
             self.bind()
-        worker = threading.Thread(target=self._worker_loop, daemon=True)
-        worker.start()
-        self._threads.append(worker)
-        accept = threading.Thread(target=self._accept_loop, daemon=True)
-        accept.start()
-        self._threads.append(accept)
+        threading.Thread(target=self._worker_loop, daemon=True).start()
+        threading.Thread(target=self._accept_loop, daemon=True).start()
         self._stop.wait()
 
     def shutdown(self) -> None:

@@ -26,11 +26,16 @@ after commit.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import re
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -87,70 +92,61 @@ def sidecar_path_for(directory: Path | str, agent_id: str) -> Path:
     return Path(directory) / f"{agent_id}.meta.json"
 
 
-def _tensor_entries(cache: AgentCache) -> list[tuple[str, str, tuple[int, ...], bytes]]:
-    entries = []
-    for layer in cache.blocks:
-        for block in layer:
-            for side, qt in (("K", block.k), ("V", block.v)):
-                prefix = f"L{block.layer}_B{block.block_index}_{side}"
-                entries.append(
-                    (
-                        f"{prefix}_weights",
-                        "U32",
-                        qt.packed.shape,
-                        np.ascontiguousarray(qt.packed, dtype="<u4").tobytes(),
-                    )
-                )
-                entries.append(
-                    (
-                        f"{prefix}_scales",
-                        "BF16",
-                        qt.scales.shape,
-                        np.ascontiguousarray(qt.scales, dtype="<u2").tobytes(),
-                    )
-                )
-                entries.append(
-                    (
-                        f"{prefix}_biases",
-                        "BF16",
-                        qt.biases.shape,
-                        np.ascontiguousarray(qt.biases, dtype="<u2").tobytes(),
-                    )
-                )
-    return entries
+class _TensorSlot(NamedTuple):
+    """Where one container tensor sits: its header entry and its source."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    layer: int
+    block: int
+    side: str  # "k" or "v"
+    field: str  # QuantizedTensor attribute: "packed", "scales" or "biases"
 
 
-def _build_container(entries: list[tuple[str, str, tuple[int, ...], bytes]]) -> bytes:
-    # offsets assigned in sorted-name order so the container is canonical
-    entries = sorted(entries, key=lambda e: e[0])
-    header: dict[str, dict] = {}
-    offset = 0
-    payload = bytearray()
-    for name, dtype, shape, raw in entries:
-        header[name] = {
-            "dtype": dtype,
-            "shape": list(shape),
-            "data_offsets": [offset, offset + len(raw)],
-        }
-        payload.extend(raw)
-        offset += len(raw)
-    header_json = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    if pad := (-len(header_json)) % 8:
-        header_json += b" " * pad
-    return struct.pack("<Q", len(header_json)) + header_json + bytes(payload)
+# (name suffix, container dtype, QuantizedTensor attribute) per tensor of a side
+_FIELDS = (
+    ("weights", "U32", "packed"),
+    ("scales", "BF16", "scales"),
+    ("biases", "BF16", "biases"),
+)
+# container dtype -> (little-endian file dtype, native in-memory dtype)
+_NP_DTYPE = {"U32": ("<u4", np.uint32), "BF16": ("<u2", np.uint16)}
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _layout(spec: ModelCacheSpec, block_counts: list[int]) -> list[_TensorSlot]:
+    """Every tensor of a container, in data order (sorted by name)."""
+    slots = []
+    for layer in range(spec.num_layers):
+        for b, count in enumerate(block_counts):
+            for side, dim in (("K", spec.k_head_dim), ("V", spec.v_head_dim)):
+                for part, dtype, field in _FIELDS:
+                    width = dim // 8 if field == "packed" else dim // spec.group_size
+                    slots.append(_TensorSlot(
+                        f"L{layer}_B{b}_{side}_{part}", dtype,
+                        (spec.num_kv_heads, count, width), layer, b, side.lower(), field,
+                    ))
+    return sorted(slots, key=lambda slot: slot.name)
+
+
+def _atomic_write(path: Path, segments: Iterable) -> None:
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for segment in segments:
+                fh.write(segment)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise PersistenceError(f"failed to write {path}: {exc}") from exc
+
+
+def _agent_tensor_files(directory: Path, agent_id: str) -> list[Path]:
+    """Tensor files named exactly ``{agent_id}.{16 hex}.safetensors``."""
+    pattern = re.compile(rf"{re.escape(agent_id)}\.[0-9a-f]{{16}}\.safetensors")
+    return [p for p in directory.glob("*.safetensors") if pattern.fullmatch(p.name)]
 
 
 def save_agent(cache: AgentCache, directory: Path | str, spec: ModelCacheSpec) -> CacheFilePair:
@@ -161,8 +157,26 @@ def save_agent(cache: AgentCache, directory: Path | str, spec: ModelCacheSpec) -
     except OSError as exc:
         raise PersistenceError(f"cannot create cache dir {directory}: {exc}") from exc
 
-    blob = _build_container(_tensor_entries(cache))
-    digest = hashlib.sha256(blob).hexdigest()
+    header: dict[str, dict] = {}
+    arrays = []
+    offset = 0
+    for slot in _layout(spec, cache.block_token_counts()):
+        qt = getattr(cache.blocks[slot.layer][slot.block], slot.side)
+        array = np.ascontiguousarray(getattr(qt, slot.field), dtype=_NP_DTYPE[slot.dtype][0])
+        header[slot.name] = {
+            "dtype": slot.dtype,
+            "shape": list(slot.shape),
+            "data_offsets": [offset, offset + array.nbytes],
+        }
+        arrays.append(array)
+        offset += array.nbytes
+    header_json = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_json += b" " * ((-len(header_json)) % 8)
+    segments = [struct.pack("<Q", len(header_json)) + header_json, *arrays]
+    sha = hashlib.sha256()
+    for segment in segments:
+        sha.update(segment)
+    digest = sha.hexdigest()
     tensor_path = directory / f"{cache.agent_id}.{digest[:16]}.safetensors"
 
     sidecar = {
@@ -181,11 +195,11 @@ def save_agent(cache: AgentCache, directory: Path | str, spec: ModelCacheSpec) -
         json.dumps(sidecar, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
     ).encode("utf-8")
 
-    _atomic_write(tensor_path, blob)
+    _atomic_write(tensor_path, segments)
     sidecar_path = sidecar_path_for(directory, cache.agent_id)
-    _atomic_write(sidecar_path, sidecar_bytes)  # commit point
+    _atomic_write(sidecar_path, [sidecar_bytes])  # commit point
 
-    for stale in directory.glob(f"{cache.agent_id}.*.safetensors"):
+    for stale in _agent_tensor_files(directory, cache.agent_id):
         if stale.name != tensor_path.name:
             stale.unlink(missing_ok=True)
     return CacheFilePair(tensor_path=tensor_path, sidecar_path=sidecar_path)
@@ -196,20 +210,18 @@ def discover_pair(directory: Path | str, agent_id: str) -> CacheFilePair | None:
     sidecar_path = sidecar_path_for(directory, agent_id)
     if not sidecar_path.exists():
         return None
-    try:
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        tensor_name = meta["tensor_file"]
-    except (OSError, ValueError, KeyError) as exc:
-        raise CorruptFileError(f"unreadable sidecar {sidecar_path}: {exc}") from exc
+    meta = _read_sidecar(sidecar_path)
+    if "tensor_file" not in meta:
+        raise CorruptFileError(f"sidecar {sidecar_path} has no tensor_file")
     return CacheFilePair(
-        tensor_path=Path(directory) / tensor_name, sidecar_path=sidecar_path
+        tensor_path=Path(directory) / meta["tensor_file"], sidecar_path=sidecar_path
     )
 
 
 def remove_agent_files(directory: Path | str, agent_id: str) -> None:
     directory = Path(directory)
     sidecar_path_for(directory, agent_id).unlink(missing_ok=True)
-    for stale in directory.glob(f"{agent_id}.*.safetensors"):
+    for stale in _agent_tensor_files(directory, agent_id):
         stale.unlink(missing_ok=True)
 
 
@@ -270,30 +282,36 @@ def _parse_header(header_blob: bytes, data_len: int, path: Path) -> dict:
     return entries
 
 
+def _read_header(fh: BinaryIO, total: int, path: Path) -> tuple[int, dict]:
+    """Read a ``total``-byte file's header: (data_start, _parse_header entries)."""
+    prefix = fh.read(8)
+    if len(prefix) < 8:
+        raise CorruptFileError(f"{path}: shorter than the 8-byte header length")
+    (header_len,) = struct.unpack("<Q", prefix)
+    if header_len < 2 or header_len > _HEADER_LIMIT:
+        raise CorruptFileError(f"{path}: implausible header length {header_len}")
+    header_blob = fh.read(header_len)
+    if len(header_blob) < header_len:
+        raise CorruptFileError(f"{path}: header extends past end of file")
+    data_start = 8 + header_len
+    return data_start, _parse_header(header_blob, total - data_start, path)
+
+
 def inspect_tensor_file(path: Path | str) -> FileSummary:
     """Summarize a tensor file from its header alone (no tensor data read)."""
     path = Path(path)
     try:
-        total = os.stat(path).st_size
         with open(path, "rb") as fh:
-            prefix = fh.read(8)
-            if len(prefix) < 8:
-                raise CorruptFileError(f"{path}: shorter than the 8-byte header length")
-            (header_len,) = struct.unpack("<Q", prefix)
-            if header_len < 2 or header_len > _HEADER_LIMIT:
-                raise CorruptFileError(f"{path}: implausible header length {header_len}")
-            header_blob = fh.read(header_len)
+            total = os.fstat(fh.fileno()).st_size
+            data_start, entries = _read_header(fh, total, path)
     except OSError as exc:
         raise CorruptFileError(f"cannot read {path}: {exc}") from exc
-    if len(header_blob) < header_len:
-        raise CorruptFileError(f"{path}: header extends past end of file")
-    entries = _parse_header(header_blob, total - 8 - header_len, path)
     tensors = tuple(
         TensorSummary(name=name, dtype=dtype, shape=shape, nbytes=end - begin)
         for name, (dtype, shape, begin, end) in sorted(entries.items())
     )
     return FileSummary(
-        header_bytes=header_len,
+        header_bytes=data_start - 8,
         data_bytes=sum(t.nbytes for t in tensors),
         total_bytes=total,
         tensors=tensors,
@@ -367,73 +385,48 @@ def load_agent(pair: CacheFilePair, expected_fingerprint: int | None) -> AgentCa
     if hashlib.sha256(blob).hexdigest() != tensor_sha:
         raise CorruptFileError(f"{pair.tensor_path}: SHA-256 mismatch (truncated or torn)")
 
-    if len(blob) < 8:
-        raise CorruptFileError(f"{pair.tensor_path}: shorter than the 8-byte header length")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    if header_len < 2 or header_len > _HEADER_LIMIT:
-        raise CorruptFileError(f"{pair.tensor_path}: implausible header length {header_len}")
-    if 8 + header_len > len(blob):
-        raise CorruptFileError(f"{pair.tensor_path}: header extends past end of file")
-    data_start = 8 + header_len
-    entries = _parse_header(
-        blob[8:data_start], len(blob) - data_start, pair.tensor_path
-    )
+    data_start, entries = _read_header(io.BytesIO(blob), len(blob), pair.tensor_path)
 
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in char_offsets):
         raise CorruptFileError(f"{pair.sidecar_path}: char offsets must be integers")
 
-    expected_names = set()
-    for layer in range(spec.num_layers):
-        for b in range(len(block_counts)):
-            for side in ("K", "V"):
-                for part in ("weights", "scales", "biases"):
-                    expected_names.add(f"L{layer}_B{b}_{side}_{part}")
-    if set(entries) != expected_names:
+    layout = _layout(spec, block_counts)
+    if set(entries) != {slot.name for slot in layout}:
         raise CorruptFileError(
             f"{pair.tensor_path}: tensor names do not match the declared blocks"
         )
 
-    def read_tensor(name: str, dtype: str, shape: tuple[int, ...], np_dtype: str) -> np.ndarray:
-        actual_dtype, actual_shape, begin, end = entries[name]
-        if actual_dtype != dtype or actual_shape != shape:
+    heads = spec.num_kv_heads
+    fields: dict[tuple[int, int, str], dict[str, np.ndarray]] = {}
+    for slot in layout:
+        actual_dtype, actual_shape, begin, _ = entries[slot.name]
+        if actual_dtype != slot.dtype or actual_shape != slot.shape:
             raise CorruptFileError(
-                f"{pair.tensor_path}: tensor {name}: expected {dtype} {shape}, "
+                f"{pair.tensor_path}: tensor {slot.name}: expected {slot.dtype} {slot.shape}, "
                 f"got {actual_dtype} {actual_shape}"
             )
-        raw = blob[data_start + begin : data_start + end]
-        return np.frombuffer(raw, dtype=np_dtype).reshape(shape).copy()
+        file_dtype, native = _NP_DTYPE[slot.dtype]
+        # one native-dtype copy, so no array keeps the file bytes alive
+        array = np.frombuffer(
+            blob, dtype=file_dtype, count=prod(slot.shape), offset=data_start + begin
+        ).reshape(slot.shape).astype(native)
+        fields.setdefault((slot.layer, slot.block, slot.side), {})[slot.field] = array
 
-    heads = spec.num_kv_heads
-    blocks: list[list[KVBlock]] = []
-    for layer in range(spec.num_layers):
-        layer_blocks = []
-        for b, count in enumerate(block_counts):
-            tensors = {}
-            for side, dim in (("K", spec.k_head_dim), ("V", spec.v_head_dim)):
-                prefix = f"L{layer}_B{b}_{side}"
-                packed = read_tensor(
-                    f"{prefix}_weights", "U32", (heads, count, dim // 8), "<u4"
-                )
-                scales = read_tensor(
-                    f"{prefix}_scales", "BF16", (heads, count, dim // spec.group_size), "<u2"
-                )
-                biases = read_tensor(
-                    f"{prefix}_biases", "BF16", (heads, count, dim // spec.group_size), "<u2"
-                )
-                tensors[side] = QuantizedTensor(
-                    heads=heads,
-                    tokens=count,
-                    dim=dim,
-                    packed=packed.astype(np.uint32),
-                    scales=scales.astype(np.uint16),
-                    biases=biases.astype(np.uint16),
-                    group_size=spec.group_size,
-                )
-            layer_blocks.append(
-                KVBlock(layer=layer, block_index=b, token_count=count,
-                        k=tensors["K"], v=tensors["V"])
-            )
-        blocks.append(layer_blocks)
+    def tensor(layer: int, b: int, side: str, dim: int) -> QuantizedTensor:
+        return QuantizedTensor(
+            heads=heads, tokens=block_counts[b], dim=dim,
+            group_size=spec.group_size, **fields[(layer, b, side)],
+        )
+
+    blocks = [
+        [
+            KVBlock(layer=layer, block_index=b, token_count=count,
+                    k=tensor(layer, b, "k", spec.k_head_dim),
+                    v=tensor(layer, b, "v", spec.v_head_dim))
+            for b, count in enumerate(block_counts)
+        ]
+        for layer in range(spec.num_layers)
+    ]
 
     cache = AgentCache(
         agent_id=agent_id,

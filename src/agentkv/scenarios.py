@@ -124,18 +124,6 @@ def _routing10_plan(rng: np.random.Generator) -> list[_PhasePlan]:
     return plan
 
 
-def _event_dicts(world: _World) -> list[dict]:
-    return [
-        {
-            "kind": e.kind.value,
-            "request_id": e.request_id,
-            "payload": e.payload,
-            "tick": e.tick,
-        }
-        for e in world.scheduler.trace
-    ]
-
-
 def _run_phased(
     plan: list[_PhasePlan],
     mode: str,
@@ -204,7 +192,7 @@ def _run_phased(
                 "reloads": stats_after.reloads - stats_before.reloads,
             }
         )
-    return stats, _event_dicts(world)
+    return stats, [e.to_json_dict() for e in world.scheduler.trace]
 
 
 def _phased_report(
@@ -319,15 +307,7 @@ def _run_staggered(
         sched.run_until_idle()
     chunks = recorder.chunks
     switches = sum(1 for x, y in zip(chunks, chunks[1:]) if x != y)
-    trace = [
-        {
-            "kind": e.kind.value,
-            "request_id": e.request_id,
-            "payload": e.payload,
-            "tick": e.tick,
-        }
-        for e in sched.trace
-    ]
+    trace = [e.to_json_dict() for e in sched.trace]
     return {
         "mode": "batched" if batched else "sequential",
         "chunk_order": chunks,

@@ -49,17 +49,16 @@ class Event:
     payload: dict
     tick: int
 
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "request_id": self.request_id,
+            "payload": self.payload,
+            "tick": self.tick,
+        }
+
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "request_id": self.request_id,
-                "payload": self.payload,
-                "tick": self.tick,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from agentkv.codec import (
     pack_codes,
     q4_bytes,
     q4_tensor_bytes,
-    quantize_group,
+    quantize_array,
     quantize_tensor,
     slice_tokens,
     unpack_codes,
@@ -129,8 +129,18 @@ def test_pack_rejects_ragged():
 # group quantization
 
 
+def quantize_one_group(values):
+    """Quantize one group as a single-row array: (codes, scale, bias)."""
+    packed, scale_bits, bias_bits = quantize_array(values[None], group_size=values.size)
+    return (
+        unpack_codes(packed)[0],
+        float(bf16_bits_to_f32(scale_bits)[0, 0]),
+        float(bf16_bits_to_f32(bias_bits)[0, 0]),
+    )
+
+
 def test_constant_group_is_degenerate():
-    codes, scale, bias = quantize_group(np.full(64, 5.0, dtype=np.float32))
+    codes, scale, bias = quantize_one_group(np.full(64, 5.0, dtype=np.float32))
     assert np.all(codes == 0)
     assert scale == 1.0
     assert bias == 5.0
@@ -138,7 +148,7 @@ def test_constant_group_is_degenerate():
 
 def test_group_spanning_exact_steps():
     values = np.tile(np.arange(16, dtype=np.float32), 4)
-    codes, scale, bias = quantize_group(values)
+    codes, scale, bias = quantize_one_group(values)
     assert scale == 1.0
     assert bias == 0.0
     assert np.array_equal(codes, values.astype(np.uint8))
@@ -146,16 +156,16 @@ def test_group_spanning_exact_steps():
 
 def test_group_rejects_non_finite():
     with pytest.raises(InvalidValueError):
-        quantize_group(np.array([1.0, np.nan] + [0.0] * 62, dtype=np.float32))
+        quantize_one_group(np.array([1.0, np.nan] + [0.0] * 62, dtype=np.float32))
     with pytest.raises(InvalidValueError):
-        quantize_group(np.array([np.inf] + [0.0] * 63, dtype=np.float32))
+        quantize_one_group(np.array([np.inf] + [0.0] * 63, dtype=np.float32))
 
 
 def test_random_groups_against_scalar_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10_000):
         values = rng.uniform(-1.0, 1.0, size=64).astype(np.float32)
-        codes, scale, bias = quantize_group(values)
+        codes, scale, bias = quantize_one_group(values)
         o_codes, o_scale_bits, o_bias_bits, o_scale_f32 = quantize_group_scalar(
             values.tolist()
         )
@@ -181,7 +191,7 @@ def test_group_round_trip_bound_property(values):
     # to its range (bias rounding error stays below half a code step)
     arr = np.array(values, dtype=np.float32)
     arr = arr - np.float32(arr.mean())
-    codes, scale, bias = quantize_group(arr)
+    codes, scale, bias = quantize_one_group(arr)
     _, _, _, scale_f32 = quantize_group_scalar(arr.tolist())
     recon = scale * codes.astype(np.float64) + bias
     err = np.abs(arr.astype(np.float64) - recon).max()

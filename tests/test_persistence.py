@@ -327,3 +327,181 @@ def _project_tests_parent():
 
 def test_discover_pair_absent(tmp_path):
     assert discover_pair(tmp_path, "nobody") is None
+
+
+# ---------------------------------------------------------------------------
+# on-disk isolation of agents whose ids share a dotted prefix
+
+
+@pytest.mark.parametrize("action", ["resave", "drop"])
+def test_dotted_prefix_agents_stay_isolated_on_disk(tmp_path, action):
+    spec = tiny_spec(layers=2, block=8)
+    store = tmp_path / "store"
+    pool = BlockPool(spec, store, budget_bytes=1 << 34)
+    rng = np.random.default_rng(11)
+    append_random(pool, "a.b", 13, rng)
+    append_random(pool, "a", 9, rng)
+    pool.save_agent("a.b")
+    expected = cache_checksum(pool.get_cache("a.b"))
+    pool.save_agent("a")
+    if action == "resave":
+        append_random(pool, "a", 3, rng)
+        pool.save_agent("a")
+    else:
+        pool.drop_agent("a", delete_disk=True)
+    fresh = BlockPool(spec, store, budget_bytes=1 << 34)
+    assert cache_checksum(fresh.get_cache("a.b")) == expected
+
+
+# ---------------------------------------------------------------------------
+# crash points inside save_agent
+
+
+class _Crash(BaseException):
+    """Stands in for the process dying at an injected point."""
+
+
+class _TornFile:
+    """A file whose first write lands half its bytes, then the process dies."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        view = memoryview(data).cast("B")
+        self._fh.write(view[: len(view) // 2])
+        self._fh.flush()
+        raise _Crash("torn write")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _inject_crash(monkeypatch, step):
+    import builtins
+    import os
+    import pathlib
+
+    import agentkv.persistence as pmod
+
+    kind, suffix = step.split(":")
+    if kind == "write":
+        real_open = builtins.open
+
+        def torn_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" in mode and f"{suffix}.tmp." in pathlib.Path(path).name:
+                return _TornFile(fh)
+            return fh
+
+        monkeypatch.setattr(pmod, "open", torn_open, raising=False)
+    elif kind == "rename":
+        real_replace = os.replace
+
+        def crashing_replace(src, dst, *args, **kwargs):
+            if str(dst).endswith(suffix):
+                raise _Crash(f"rename onto {dst}")
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", crashing_replace)
+    else:
+        real_unlink = pathlib.Path.unlink
+
+        def crashing_unlink(self, *args, **kwargs):
+            if self.name.endswith(suffix) and not self.name.startswith("."):
+                raise _Crash(f"unlink {self}")
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "unlink", crashing_unlink)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "write:.safetensors",
+        "rename:.safetensors",
+        "write:.meta.json",
+        "rename:.meta.json",
+        "unlink:.safetensors",
+    ],
+)
+def test_crash_at_each_save_step_keeps_old_or_new_state(tmp_path, monkeypatch, step):
+    spec = tiny_spec(layers=2, block=8)
+    store = tmp_path / "store"
+    pool = BlockPool(spec, store, budget_bytes=1 << 34)
+    rng = np.random.default_rng(12)
+    append_random(pool, "a", 13, rng)
+    pool.save_agent("a")
+    old = cache_checksum(pool.get_cache("a"))
+    append_random(pool, "a", 6, rng)
+    new = cache_checksum(pool.get_cache("a"))
+
+    with monkeypatch.context() as m:
+        _inject_crash(m, step)
+        with pytest.raises(_Crash):
+            pool.save_agent("a")
+
+    fresh = BlockPool(spec, store, budget_bytes=1 << 34)
+    assert cache_checksum(fresh.get_cache("a")) in (old, new)
+
+
+# ---------------------------------------------------------------------------
+# the exact bytes of a saved pair
+
+
+def _pinned_deepseek_cache(directory):
+    """A fixed deepseek cache: asymmetric K/V, one full block and a 4-token tail."""
+    spec = preset("deepseek-v2-lite-16b")
+    pool = BlockPool(spec, directory, budget_bytes=1 << 40)
+    tokens = 260
+    heads = spec.num_kv_heads
+
+    def lattice(dim, salt):
+        # integer arithmetic then one correctly rounded division: no libm
+        i = np.arange(heads * tokens * dim, dtype=np.int64)
+        values = ((i * 7919 + salt * 104729) % 1001) / 1000.0 - 0.5
+        return values.astype(np.float32).reshape(heads, tokens, dim)
+
+    kv = [
+        (lattice(spec.k_head_dim, 2 * layer), lattice(spec.v_head_dim, 2 * layer + 1))
+        for layer in range(spec.num_layers)
+    ]
+    ids = [(t * 7919) % 50_000 for t in range(tokens)]
+    pool.append_tokens("pin", kv, ids, "aé" * tokens, [2 * t for t in range(tokens)])
+    return spec, pool.get_cache("pin")
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    spec, cache = _pinned_deepseek_cache(tmp_path / "pool")
+    pair = save_agent(cache, tmp_path / "store", spec)
+    assert cache.block_token_counts() == [256, 4]
+    tensor_sha = hashlib.sha256(pair.tensor_path.read_bytes()).hexdigest()
+    sidecar_sha = hashlib.sha256(pair.sidecar_path.read_bytes()).hexdigest()
+    assert pair.tensor_path.name == f"pin.{tensor_sha[:16]}.safetensors"
+    assert tensor_sha == "aad0f595dac03d5fc6d38e3546136db69f3965bce297115cd65dca50d269dda5"
+    assert sidecar_sha == "939c7d583f825ecc9de8734d7d7862adc6cbec0d216d06ed6f50765fba83d220"
+
+
+def test_save_allocates_far_less_than_the_cache(tmp_path):
+    import tracemalloc
+
+    spec = preset("llama31-8b")
+    pool = BlockPool(spec, tmp_path / "pool", budget_bytes=1 << 40)
+    append_random(pool, "m", 300, np.random.default_rng(13))
+    cache = pool.get_cache("m")
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        save_agent(cache, tmp_path / "store", spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < cache.nbytes // 4
