@@ -63,7 +63,6 @@ class BlockPool:
         spec: ModelCacheSpec,
         cache_dir: Path | str,
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
-        on_event: Callable[[str, str, int], None] | None = None,
     ) -> None:
         if budget_bytes <= 0:
             raise InvalidArgumentError("budget_bytes must be positive")
@@ -76,7 +75,7 @@ class BlockPool:
         self._clock = 0
         self._evictions = 0
         self._reloads = 0
-        self._on_event = on_event
+        self._on_event: Callable[[str, str, int], None] | None = None
         # reentrant: eviction-triggered saves run under the same guard
         self.io_guard = threading.RLock()
 

@@ -19,7 +19,7 @@ import os
 import queue
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .block_pool import DEFAULT_BUDGET_BYTES, BlockPool
@@ -29,7 +29,7 @@ from .engine import SyntheticEngine
 from .errors import AgentKVError, InvalidArgumentError, NotFoundError
 from .model_spec import preset
 from .prefix import match
-from .scheduler import Event, Request, Scheduler
+from .scheduler import Event, EventKind, Request, Scheduler
 
 __all__ = ["CacheDaemon", "DaemonClient", "DaemonConfig", "SOCKET_ENV"]
 
@@ -153,18 +153,25 @@ class CacheDaemon:
     # -- event routing ---------------------------------------------------------
 
     def _route_events(self, events: list[Event]) -> list[dict]:
-        """Stream request events to their submitters; return the system ones."""
+        """Stream request events to their submitters; return the system ones.
+
+        A request's submitter is forgotten once its DONE event is sent.
+        """
         system = []
         for event in events:
             payload = event.to_json_dict()
-            conn = self._submitters.get(event.request_id) if event.request_id else None
-            if conn is not None:
-                conn.send_line({"event": payload})
-            else:
+            rid = event.request_id
+            conn = self._submitters.get(rid) if rid else None
+            if conn is None:
                 system.append(payload)
+                continue
+            conn.send_line({"event": payload})
+            if event.kind is EventKind.DONE:
+                del self._submitters[rid]
         return system
 
     # -- operations -------------------------------------------------------------
+    # Each handler runs on the worker lane and returns the op's result.
 
     def _op_submit(self, conn: _Connection, params: dict) -> dict:
         request = Request(
@@ -174,136 +181,75 @@ class CacheDaemon:
             max_tokens=int(params["max_tokens"]),
             persistent_cache_prefix=bool(params.get("persistent_cache_prefix", True)),
         )
-        out: dict = {}
+        result = self.scheduler.submit(request)
+        self._submitters[request.request_id] = conn
+        return {
+            "match": result.to_json_dict() if result is not None else None,
+            "system_events": self._route_events(self.scheduler.drain()),
+        }
 
-        def work():
-            before = len(self.scheduler.trace)
-            result = self.scheduler.submit(request)
-            self._submitters[request.request_id] = conn
-            out["match"] = result.to_json_dict() if result is not None else None
-            out["system_events"] = self._route_events(self.scheduler.trace[before:])
+    def _op_step(self, conn: _Connection, params: dict) -> dict:
+        events = self.scheduler.step()
+        return {
+            "events": len(events),
+            "system_events": self._route_events(events),
+            "idle": not self.scheduler.has_work(),
+        }
 
-        self._on_worker(work)
-        return out
-
-    def _op_step(self, params: dict) -> dict:
-        out: dict = {}
-
-        def work():
-            events = self.scheduler.step()
-            out["events"] = len(events)
-            out["system_events"] = self._route_events(events)
-            out["idle"] = not self.scheduler.has_work()
-
-        self._on_worker(work)
-        return out
-
-    def _op_run(self, params: dict) -> dict:
+    def _op_run(self, conn: _Connection, params: dict) -> dict:
         out: dict = {"events": 0, "steps": 0, "system_events": []}
-
-        def work():
-            while self.scheduler.has_work():
-                events = self.scheduler.step()
-                out["steps"] += 1
-                out["events"] += len(events)
-                out["system_events"].extend(self._route_events(events))
-
-        self._on_worker(work)
+        while self.scheduler.has_work():
+            events = self.scheduler.step()
+            out["steps"] += 1
+            out["events"] += len(events)
+            out["system_events"].extend(self._route_events(events))
         return out
 
-    def _op_match(self, params: dict) -> dict:
+    def _op_match(self, conn: _Connection, params: dict) -> dict:
         agent_id = str(params["agent_id"])
         prompt = str(params["prompt"])
-        out: dict = {}
+        if self.pool.agent_state(agent_id) is CacheState.COLD:
+            raise NotFoundError(f"agent {agent_id!r} has no cache")
+        cache = self.pool.get_cache(agent_id)
+        return {
+            "match": match(cache, prompt, self.spec.block_tokens).to_json_dict(),
+            "system_events": self._route_events(self.scheduler.drain()),
+        }
 
-        def work():
-            if self.pool.agent_state(agent_id) is CacheState.COLD:
-                raise NotFoundError(f"agent {agent_id!r} has no cache")
-            before = len(self.scheduler.trace)
-            cache = self.pool.get_cache(agent_id)
-            out["match"] = match(cache, prompt, self.spec.block_tokens).to_json_dict()
-            out["system_events"] = self._route_events(self.scheduler.trace[before:])
+    def _op_save_all(self, conn: _Connection, params: dict) -> dict:
+        system = self._route_events(self.scheduler.save_all())
+        return {"system_events": system, "saved": len(system)}
 
-        self._on_worker(work)
-        return out
-
-    def _op_save_all(self, params: dict) -> dict:
-        out: dict = {}
-
-        def work():
-            events = self.scheduler.save_all()
-            out["system_events"] = self._route_events(events)
-            out["saved"] = len(out["system_events"])
-
-        self._on_worker(work)
-        return out
-
-    def _op_restore(self, params: dict) -> dict:
+    def _op_restore(self, conn: _Connection, params: dict) -> dict:
         agent_ids = [str(a) for a in params.get("agent_ids", [])]
-        out: dict = {}
+        return {"system_events": self._route_events(self.scheduler.restore(agent_ids))}
 
-        def work():
-            events = self.scheduler.restore(agent_ids)
-            out["system_events"] = self._route_events(events)
-
-        self._on_worker(work)
-        return out
-
-    def _op_drop(self, params: dict) -> dict:
+    def _op_drop(self, conn: _Connection, params: dict) -> dict:
         agent_id = str(params["agent_id"])
-        delete_disk = bool(params.get("delete_disk", False))
-
-        def work():
-            self.pool.drop_agent(agent_id, delete_disk=delete_disk)
-
-        self._on_worker(work)
+        self.pool.drop_agent(agent_id, delete_disk=bool(params.get("delete_disk", False)))
         return {}
 
-    def _op_stats(self, params: dict) -> dict:
-        out: dict = {}
+    def _op_stats(self, conn: _Connection, params: dict) -> dict:
+        return {**asdict(self.pool.stats()), "engine": asdict(self.engine.counters)}
 
-        def work():
-            stats = self.pool.stats()
-            counters = self.engine.counters
-            out.update(
-                {
-                    "resident_bytes": stats.resident_bytes,
-                    "budget_bytes": stats.budget_bytes,
-                    "agents_hot": stats.agents_hot,
-                    "agents_warm": stats.agents_warm,
-                    "evictions": stats.evictions,
-                    "reloads": stats.reloads,
-                    "engine": {
-                        "prefill_tokens": counters.prefill_tokens,
-                        "prefill_calls": counters.prefill_calls,
-                        "decode_steps": counters.decode_steps,
-                        "decode_tokens": counters.decode_tokens,
-                        "reentrancy_violations": counters.reentrancy_violations,
-                    },
-                }
-            )
-
-        self._on_worker(work)
-        return out
-
-    def _op_capacity(self, params: dict) -> dict:
+    def _op_capacity(self, conn: _Connection, params: dict) -> dict:
         spec = preset(str(params.get("model", self.config.model)))
         budget = parse_budget(str(params.get("budget", "10.2GB")))
         contexts = parse_contexts(str(params.get("contexts", "4k,8k,16k,32k")))
         rows = capacity_table(spec, budget, contexts)
-        return {
-            "model": spec.model_id,
-            "rows": [
-                {
-                    "context_tokens": r.context_tokens,
-                    "fp16_bytes_per_agent": r.fp16_bytes_per_agent,
-                    "q4_bytes_per_agent": r.q4_bytes_per_agent,
-                    "fp16_agents_fit": r.fp16_agents_fit,
-                    "q4_agents_fit": r.q4_agents_fit,
-                }
-                for r in rows
-            ],
-        }
+        return {"model": spec.model_id, "rows": [asdict(r) for r in rows]}
+
+    _OPS = {
+        "submit": _op_submit,
+        "step": _op_step,
+        "run": _op_run,
+        "match": _op_match,
+        "save_all": _op_save_all,
+        "restore": _op_restore,
+        "drop": _op_drop,
+        "stats": _op_stats,
+        "capacity": _op_capacity,
+    }
 
     def _dispatch(self, conn: _Connection, message: dict) -> None:
         msg_id = message.get("id")
@@ -319,56 +265,35 @@ class CacheDaemon:
                 }
             )
             return
+        if op == "shutdown":
+            conn.send_line({"id": msg_id, "ok": True, "result": {}})
+            self.shutdown()
+            return
+        handler = self._OPS.get(op)
+        if handler is None:
+            conn.send_line(
+                {"id": msg_id, "ok": False,
+                 "error": {"code": "unknown_op", "message": f"unknown op {op!r}"}}
+            )
+            return
+        out: dict = {}
+
+        def work():
+            out["result"] = handler(self, conn, params)
+
         try:
-            if op == "submit":
-                result = self._op_submit(conn, params)
-            elif op == "step":
-                result = self._op_step(params)
-            elif op == "run":
-                result = self._op_run(params)
-            elif op == "match":
-                result = self._op_match(params)
-            elif op == "save_all":
-                result = self._op_save_all(params)
-            elif op == "restore":
-                result = self._op_restore(params)
-            elif op == "drop":
-                result = self._op_drop(params)
-            elif op == "stats":
-                result = self._op_stats(params)
-            elif op == "capacity":
-                result = self._op_capacity(params)
-            elif op == "shutdown":
-                conn.send_line({"id": msg_id, "ok": True, "result": {}})
-                self.shutdown()
-                return
-            else:
-                conn.send_line(
-                    {
-                        "id": msg_id,
-                        "ok": False,
-                        "error": {"code": "unknown_op", "message": f"unknown op {op!r}"},
-                    }
-                )
-                return
+            self._on_worker(work)
+            reply = {"ok": True, "result": out["result"]}
         except AgentKVError as exc:
-            conn.send_line(
-                {"id": msg_id, "ok": False,
-                 "error": {"code": exc.code, "message": str(exc)}}
-            )
-            return
+            reply = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
         except (KeyError, TypeError, ValueError) as exc:
-            conn.send_line(
-                {"id": msg_id, "ok": False,
-                 "error": {"code": "invalid_request", "message": repr(exc)}}
-            )
-            return
-        conn.send_line({"id": msg_id, "ok": True, "result": result})
+            reply = {"ok": False, "error": {"code": "invalid_request", "message": repr(exc)}}
+        conn.send_line({"id": msg_id, **reply})
 
     # -- socket plumbing ---------------------------------------------------------
 
     def _reader_loop(self, conn: _Connection) -> None:
-        buffer = b""
+        buffer = bytearray()
         sock = conn.sock
         while not self._stop.is_set():
             try:
@@ -377,24 +302,16 @@ class CacheDaemon:
                 break
             if not data:
                 break
+            scan = len(buffer)  # earlier bytes hold no newline
             buffer += data
-            if len(buffer) > MAX_LINE_BYTES and b"\n" not in buffer:
-                conn.send_line(
-                    {"id": None, "ok": False,
-                     "error": {"code": "line_too_long",
-                               "message": f"line exceeds {MAX_LINE_BYTES} bytes"}}
-                )
-                break
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
+            start = 0
+            while (end := buffer.find(b"\n", scan)) != -1:
+                line = buffer[start:end]
+                start = scan = end + 1
                 if not line.strip():
                     continue
                 if len(line) > MAX_LINE_BYTES:
-                    conn.send_line(
-                        {"id": None, "ok": False,
-                         "error": {"code": "line_too_long",
-                                   "message": f"line exceeds {MAX_LINE_BYTES} bytes"}}
-                    )
+                    self._line_too_long(conn)
                     conn.alive = False
                     sock.close()
                     return
@@ -409,11 +326,23 @@ class CacheDaemon:
                     )
                     continue
                 self._dispatch(conn, message)
+            del buffer[:start]
+            if len(buffer) > MAX_LINE_BYTES:
+                self._line_too_long(conn)
+                break
         conn.alive = False
         try:
             sock.close()
         except OSError:
             pass
+
+    @staticmethod
+    def _line_too_long(conn: _Connection) -> None:
+        conn.send_line(
+            {"id": None, "ok": False,
+             "error": {"code": "line_too_long",
+                       "message": f"line exceeds {MAX_LINE_BYTES} bytes"}}
+        )
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():

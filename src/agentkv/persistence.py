@@ -332,6 +332,11 @@ def _read_sidecar(path: Path) -> dict:
     return meta
 
 
+def _int_list(value) -> bool:
+    """A JSON array of integers (``true``/``false`` are not integers here)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def load_agent(pair: CacheFilePair, expected_fingerprint: int | None) -> AgentCache:
     """Reconstruct an agent cache bit-identically, validating as it goes."""
     meta = _read_sidecar(pair.sidecar_path)
@@ -361,14 +366,12 @@ def load_agent(pair: CacheFilePair, expected_fingerprint: int | None) -> AgentCa
             f"cache for {agent_id!r} was produced under a different model spec"
         )
 
-    if not isinstance(token_ids, list) or not isinstance(char_offsets, list):
-        raise CorruptFileError(f"{pair.sidecar_path}: token metadata malformed")
+    if not _int_list(token_ids) or not _int_list(char_offsets):
+        raise CorruptFileError(f"{pair.sidecar_path}: token metadata must be integer lists")
     if len(char_offsets) != len(token_ids):
         raise CorruptFileError(f"{pair.sidecar_path}: char_offsets/token_ids length mismatch")
     total_tokens = len(token_ids)
-    if not isinstance(block_counts, list) or any(
-        not isinstance(c, int) or c < 1 or c > spec.block_tokens for c in block_counts
-    ):
+    if not _int_list(block_counts) or any(not 1 <= c <= spec.block_tokens for c in block_counts):
         raise CorruptFileError(f"{pair.sidecar_path}: invalid block token counts")
     if any(c != spec.block_tokens for c in block_counts[:-1]):
         raise CorruptFileError(f"{pair.sidecar_path}: non-final block not full")
@@ -386,9 +389,6 @@ def load_agent(pair: CacheFilePair, expected_fingerprint: int | None) -> AgentCa
         raise CorruptFileError(f"{pair.tensor_path}: SHA-256 mismatch (truncated or torn)")
 
     data_start, entries = _read_header(io.BytesIO(blob), len(blob), pair.tensor_path)
-
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in char_offsets):
-        raise CorruptFileError(f"{pair.sidecar_path}: char offsets must be integers")
 
     layout = _layout(spec, block_counts)
     if set(entries) != {slot.name for slot in layout}:

@@ -24,7 +24,7 @@ from .block_pool import BlockPool
 from .engine import SyntheticEngine
 from .errors import InvalidArgumentError
 from .model_spec import GLOBAL, ModelCacheSpec, preset, sliding_window
-from .scheduler import Request, Scheduler
+from .scheduler import EventKind, Request, Scheduler
 
 __all__ = ["SCENARIO_NAMES", "desk_spec", "run_scenario", "render_report", "reuse_bar_svg"]
 
@@ -144,6 +144,7 @@ def _run_phased(
     }
     transcripts: dict[str, str] = {}
     stats = []
+    trace = []
     counter = 0
     for index, phase in enumerate(plan):
         if mode == "cold":
@@ -153,7 +154,6 @@ def _run_phased(
         stats_before = world.pool.stats()
         verdicts = {"exact": 0, "extend": 0, "diverge": 0, "fresh": 0}
         reused = 0
-        prompt_tokens = 0
         for agent in phase.participants:
             prompt = transcripts.get(agent, "") + phase_texts[(index, agent)]
             counter += 1
@@ -165,19 +165,15 @@ def _run_phased(
             else:
                 verdicts[result.verdict.value] += 1
                 reused += result.reuse_tokens
-        world.scheduler.run_until_idle()
+        events = world.scheduler.run_until_idle()
+        trace.extend(events)
         for agent in phase.participants:
             transcripts[agent] = world.pool.get_cache(agent).transcript_text
-        accounting = {
-            a.request_id: a for a in world.scheduler.request_accounting()
-        }
         prompt_tokens = sum(
-            a.prompt_tokens
-            for a in accounting.values()
-            if a.request_id.startswith(f"{mode}-p{index}-")
+            e.payload["prompt_tokens"] for e in events if e.kind is EventKind.DONE
         )
         if mode == "persistent":
-            world.scheduler.save_all()
+            trace.extend(world.scheduler.save_all())
         stats_after = world.pool.stats()
         stats.append(
             {
@@ -192,7 +188,8 @@ def _run_phased(
                 "reloads": stats_after.reloads - stats_before.reloads,
             }
         )
-    return stats, [e.to_json_dict() for e in world.scheduler.trace]
+    trace.extend(world.scheduler.drain())
+    return stats, [e.to_json_dict() for e in trace]
 
 
 def _phased_report(
@@ -294,20 +291,22 @@ def _run_staggered(
     rng = np.random.default_rng(seed + 29)
     prompt_a = _gen_text(rng, 256 * 4)
     prompt_b = _gen_text(rng, 256 * 4)
+    events = []
     if batched:
         sched.submit(Request("ra", "agent-a", prompt_a, 8))
         for _ in range(2):  # agent B arrives two work units into A's prefill
-            sched.step()
+            events += sched.step()
         sched.submit(Request("rb", "agent-b", prompt_b, 8))
-        sched.run_until_idle()
+        events += sched.run_until_idle()
     else:
         sched.submit(Request("ra", "agent-a", prompt_a, 8))
-        sched.run_until_idle()
+        events += sched.run_until_idle()
         sched.submit(Request("rb", "agent-b", prompt_b, 8))
-        sched.run_until_idle()
+        events += sched.run_until_idle()
+    events += sched.drain()
     chunks = recorder.chunks
     switches = sum(1 for x, y in zip(chunks, chunks[1:]) if x != y)
-    trace = [e.to_json_dict() for e in sched.trace]
+    trace = [e.to_json_dict() for e in events]
     return {
         "mode": "batched" if batched else "sequential",
         "chunk_order": chunks,

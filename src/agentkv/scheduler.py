@@ -79,23 +79,16 @@ class _Active:
     prompt_tokens: int
     reused_tokens: int
     generated: int = 0
-    first_emitted: bool = False
-    failed: bool = False
-    done: bool = False
-
-
-@dataclass(frozen=True)
-class RequestAccounting:
-    request_id: str
-    agent_id: str
-    prompt_tokens: int
-    reused_tokens: int
-    generated_tokens: int
-    failed: bool
 
 
 class Scheduler:
-    """Owns the engine and pool mutations on one logical lane."""
+    """Owns the engine and pool mutations on one logical lane.
+
+    Holds only in-flight state: a request leaves the table when its DONE
+    event (which carries its token accounting) is emitted, and events wait
+    in one pending list until ``step``, ``run_until_idle``, ``save_all``,
+    ``restore`` or ``drain`` hands them out.
+    """
 
     def __init__(
         self,
@@ -111,7 +104,6 @@ class Scheduler:
         self.spec: ModelCacheSpec = pool.spec
         self.chunk_tokens = chunk_tokens
         self.max_batch = max_batch
-        self.trace: list[Event] = []
         self.peak_staging_bytes = 0
         self._requests: dict[str, _Active] = {}
         self._seen_ids: set[str] = set()
@@ -120,18 +112,15 @@ class Scheduler:
         self._last_unit: str | None = None
         self._tick = 0
         self._batch: BatchCache | None = None
-        self._collected: list[Event] = []
+        self._events: list[Event] = []
         self._lock = threading.RLock()
         pool.set_event_sink(self._pool_event)
 
     # -- events --------------------------------------------------------------
 
-    def _emit(self, kind: EventKind, request_id: str, payload: dict) -> Event:
+    def _emit(self, kind: EventKind, request_id: str, payload: dict) -> None:
         self._tick += 1
-        event = Event(kind=kind, request_id=request_id, payload=payload, tick=self._tick)
-        self.trace.append(event)
-        self._collected.append(event)
-        return event
+        self._events.append(Event(kind, request_id, payload, self._tick))
 
     def _pool_event(self, kind: str, agent_id: str, nbytes: int) -> None:
         mapping = {
@@ -141,10 +130,12 @@ class Scheduler:
         }
         self._emit(mapping[kind], "", {"agent_id": agent_id, "bytes": nbytes})
 
-    def _drain(self) -> list[Event]:
-        out = self._collected
-        self._collected = []
-        return out
+    def drain(self) -> list[Event]:
+        """Return the events emitted since the last hand-out, oldest first."""
+        with self._lock:
+            out = self._events
+            self._events = []
+            return out
 
     # -- submission ----------------------------------------------------------
 
@@ -158,7 +149,7 @@ class Scheduler:
             if request.max_tokens < 1:
                 raise InvalidArgumentError("max_tokens must be >= 1")
             for active in self._requests.values():
-                if active.request.agent_id == request.agent_id and not active.done:
+                if active.request.agent_id == request.agent_id:
                     raise InvalidArgumentError(
                         f"agent {request.agent_id!r} already has an in-flight request"
                     )
@@ -197,7 +188,6 @@ class Scheduler:
                 self._prefill_queue.append(request.request_id)
             else:
                 self._decode_ready.append(request.request_id)
-            self._drain()  # submit-side events stay in the trace
             return result
 
     # -- stepping ------------------------------------------------------------
@@ -207,13 +197,12 @@ class Scheduler:
             return bool(self._prefill_queue or self._decode_ready)
 
     def step(self) -> list[Event]:
-        """Run one unit of work and return the events it produced."""
+        """Run one unit of work and return every pending event."""
         with self._lock:
-            self._collected = []
             has_prefill = bool(self._prefill_queue)
             has_decode = bool(self._decode_ready)
             if not has_prefill and not has_decode:
-                return []
+                return self.drain()
             if has_prefill and has_decode:
                 unit = "decode" if self._last_unit == "prefill" else "prefill"
             else:
@@ -223,20 +212,26 @@ class Scheduler:
             else:
                 self._decode_unit()
             self._last_unit = unit
-            return self._drain()
+            return self.drain()
 
     def run_until_idle(self) -> list[Event]:
-        """Step until no work remains; returns the events of this run."""
-        events: list[Event] = []
+        """Step until no work remains; returns every pending event."""
+        events = self.drain()
         while self.has_work():
             events.extend(self.step())
         return events
 
-    def _fail(self, request_id: str, message: str) -> None:
-        active = self._requests[request_id]
-        active.failed = True
-        active.done = True
-        self._emit(EventKind.DONE, request_id, {"error": message})
+    def _finish(self, request_id: str, error: str | None = None) -> None:
+        """Emit the request's DONE event with its accounting and forget it."""
+        active = self._requests.pop(request_id)
+        payload = {
+            "generated": active.generated,
+            "prompt_tokens": active.prompt_tokens,
+            "reused_tokens": active.reused_tokens,
+        }
+        if error is not None:
+            payload["error"] = error
+        self._emit(EventKind.DONE, request_id, payload)
 
     def _prefill_unit(self) -> None:
         request_id = self._prefill_queue.popleft()
@@ -267,7 +262,7 @@ class Scheduler:
             kv = self.engine.prefill_chunk(agent_id, chunk_ids, start)
             self.pool.append_tokens(agent_id, kv, chunk_ids, chunk_text, chunk_offsets)
         except AgentKVError as exc:
-            self._fail(request_id, f"prefill failed: {exc}")
+            self._finish(request_id, f"prefill failed: {exc}")
             return
         if active.pending_ids:
             self._prefill_queue.append(request_id)
@@ -292,7 +287,7 @@ class Scheduler:
         except AgentKVError as exc:
             self._batch = None
             for request_id in request_ids:
-                self._fail(request_id, f"decode failed: {exc}")
+                self._finish(request_id, f"decode failed: {exc}")
             return
 
         survivors = []
@@ -302,23 +297,18 @@ class Scheduler:
                 (new_k[layer][row], new_v[layer][row])
                 for layer in range(self.spec.num_layers)
             ]
-            self.pool.append_tokens(
-                agents[row], kv, [token_ids[row]], texts[row], [0]
-            )
-            active.generated += 1
-            payload = {"token_id": token_ids[row], "text": texts[row]}
-            if not active.first_emitted:
-                active.first_emitted = True
-                self._emit(EventKind.FIRST_TOKEN, request_id, payload)
-            else:
-                self._emit(EventKind.TOKEN, request_id, payload)
-            if active.generated >= active.request.max_tokens:
-                active.done = True
-                self._emit(
-                    EventKind.DONE,
-                    request_id,
-                    {"generated": active.generated},
+            try:
+                self.pool.append_tokens(
+                    agents[row], kv, [token_ids[row]], texts[row], [0]
                 )
+            except AgentKVError as exc:
+                self._finish(request_id, f"decode failed: {exc}")
+                continue
+            active.generated += 1
+            kind = EventKind.FIRST_TOKEN if active.generated == 1 else EventKind.TOKEN
+            self._emit(kind, request_id, {"token_id": token_ids[row], "text": texts[row]})
+            if active.generated >= active.request.max_tokens:
+                self._finish(request_id)
             else:
                 survivors.append(request_id)
         self._decode_ready.extend(survivors)
@@ -326,17 +316,18 @@ class Scheduler:
     # -- persistence hooks -----------------------------------------------------
 
     def save_all(self) -> list[Event]:
-        """Persist every Hot agent; returns the CacheSaved events."""
+        """Persist every Hot agent; returns every pending event."""
         with self._lock:
-            self._collected = []
             for agent_id in self.pool.hot_agents():
                 self.pool.save_agent(agent_id)
-            return self._drain()
+            return self.drain()
 
     def restore(self, agent_ids: list[str]) -> list[Event]:
-        """Load the named agents from disk; failures become failed events."""
+        """Load the named agents from disk; returns every pending event.
+
+        A failed load becomes a CacheLoaded event with ``ok: false``.
+        """
         with self._lock:
-            self._collected = []
             for agent_id in agent_ids:
                 try:
                     self.pool.get_cache(agent_id)
@@ -346,20 +337,4 @@ class Scheduler:
                         "",
                         {"agent_id": agent_id, "ok": False, "error": str(exc)},
                     )
-            return self._drain()
-
-    # -- accounting ------------------------------------------------------------
-
-    def request_accounting(self) -> list[RequestAccounting]:
-        with self._lock:
-            return [
-                RequestAccounting(
-                    request_id=rid,
-                    agent_id=a.request.agent_id,
-                    prompt_tokens=a.prompt_tokens,
-                    reused_tokens=a.reused_tokens,
-                    generated_tokens=a.generated,
-                    failed=a.failed,
-                )
-                for rid, a in sorted(self._requests.items())
-            ]
+            return self.drain()

@@ -36,7 +36,7 @@ from agentkv.model_spec import (
 from agentkv.persistence import load_agent, save_agent
 from agentkv.prefix import match
 from agentkv.scenarios import run_scenario
-from agentkv.scheduler import Request, Scheduler
+from agentkv.scheduler import EventKind, Request, Scheduler
 
 from .helpers import append_random, cache_checksum, tiny_spec
 from .oracles import mask_visible, match_brute_force, reference_attention_single
@@ -487,6 +487,7 @@ def test_criterion_6_scheduler_laws(tmp_path):
             for i in range(n_requests)
         ]
         submitted = 0
+        events = []
         while submitted < len(plans) or sched.has_work():
             # staggered arrivals: submissions interleave with steps
             if submitted < len(plans) and rng.random() < 0.4:
@@ -495,7 +496,7 @@ def test_criterion_6_scheduler_laws(tmp_path):
                 sim.submit(agent, tokens, gen)
                 submitted += 1
             else:
-                sched.step()
+                events += sched.step()
                 sim.step()
         # single-lane law
         assert engine.counters.reentrancy_violations == 0
@@ -507,12 +508,13 @@ def test_criterion_6_scheduler_laws(tmp_path):
         assert engine.log == expected
         # chunk fairness
         _check_round_robin(engine.log, [p[0] for p in plans])
-        # work conservation
-        accounting = sched.request_accounting()
+        # work conservation, from the accounting each DONE event carries
+        accounting = [e.payload for e in events if e.kind is EventKind.DONE]
+        assert len(accounting) == n_requests
         assert engine.counters.prefill_tokens == sum(
-            a.prompt_tokens - a.reused_tokens for a in accounting
+            a["prompt_tokens"] - a["reused_tokens"] for a in accounting
         )
-        decode_tokens = sum(a.generated_tokens for a in accounting)
+        decode_tokens = sum(a["generated"] for a in accounting)
         assert engine.counters.decode_tokens == decode_tokens
 
     # full-trace determinism under a fixed seed
@@ -522,8 +524,8 @@ def test_criterion_6_scheduler_laws(tmp_path):
         sched.submit(Request("r1", "a", "p" * 36, 2))
         sched.submit(Request("r2", "b", "p" * 20, 3))
         events = sched.run_until_idle()
-        sched.save_all()
-        return [e.to_json_line() for e in sched.trace]
+        events += sched.save_all()
+        return [e.to_json_line() for e in events]
 
     assert scripted(tmp_path / "det1") == scripted(tmp_path / "det2")
 

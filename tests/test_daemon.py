@@ -1,10 +1,16 @@
 """Daemon protocol tests: totality, framing, delegation, restart survival."""
 
+import gc
+import json
 import threading
+import tracemalloc
 
 import pytest
 
+from agentkv import daemon as daemon_module
 from agentkv.daemon import CacheDaemon, DaemonClient, DaemonConfig
+
+from .helpers import tiny_spec
 
 
 @pytest.fixture
@@ -37,7 +43,10 @@ def test_stats_round_trip(daemon):
     result = response["result"]
     assert result["resident_bytes"] == 0
     assert result["agents_hot"] == 0
-    assert "engine" in result
+    assert set(result) == {"resident_bytes", "budget_bytes", "agents_hot", "agents_warm",
+                           "evictions", "reloads", "engine"}
+    assert set(result["engine"]) == {"tokenize_calls", "prefill_calls", "prefill_tokens",
+                                     "decode_steps", "decode_tokens", "reentrancy_violations"}
     client.close()
 
 
@@ -282,3 +291,77 @@ def test_shutdown_op(tmp_path):
     thread.join(timeout=5)
     assert not thread.is_alive()
     client.close()
+
+
+def test_long_line_in_small_pieces_then_second_request(daemon):
+    _, address = daemon
+    client = connect(address)
+    prompt = "word" * (2**20 // 2)  # 2 MiB
+    submit = {"id": "big", "op": "submit",
+              "params": {"request_id": "rbig", "agent_id": "big", "prompt": prompt,
+                         "max_tokens": 1}}
+    data = (json.dumps(submit) + "\n").encode()
+    piece = 4096
+    cut = len(data) - 100
+    for begin in range(0, cut, piece):
+        client.sock.sendall(data[begin:min(begin + piece, cut)])
+    # the line's last bytes and a whole second request in one send
+    second = json.dumps({"id": "after", "op": "stats", "params": {}}) + "\n"
+    client.sock.sendall(data[cut:] + second.encode())
+    first_response = client._read_line()
+    second_response = client._read_line()
+    assert (first_response["id"], first_response["ok"]) == ("big", True)
+    assert first_response["result"]["match"] is None
+    assert (second_response["id"], second_response["ok"]) == ("after", True)
+    assert second_response["result"]["engine"]["tokenize_calls"] == 1
+    client.close()
+
+
+def test_daemon_keeps_only_in_flight_state(tmp_path, monkeypatch):
+    """2000 requests over fixed agents leave no per-request state behind."""
+    spec = tiny_spec(layers=1, heads=1, k_dim=8, v_dim=8, block=8, group=8)
+    monkeypatch.setattr(daemon_module, "preset", lambda name: spec)
+    config = DaemonConfig(cache_dir=str(tmp_path / "cache"),
+                          socket_path=str(tmp_path / "b.sock"),
+                          chunk_tokens=512, max_batch=4)
+    d = CacheDaemon(config)
+    address = d.bind()
+    threading.Thread(target=d.serve_forever, daemon=True).start()
+    client = connect(address)
+    agents = ["a0", "a1", "a2", "a3"]
+    # 4 KiB prompts, block-aligned: after the first turn each resubmission
+    # reuses the prompt's blocks and decodes one token, so the pool stays put
+    prompts = {a: (a + ".") * 1024 for a in agents}
+    counter = 0
+
+    def rounds(n):
+        nonlocal counter
+        for _ in range(n):
+            for agent in agents:
+                counter += 1
+                response = client.request("submit", {
+                    "request_id": f"r{counter}", "agent_id": agent,
+                    "prompt": prompts[agent], "max_tokens": 1,
+                })
+                assert response["ok"], response
+            assert client.request("run")["ok"]
+            done = [e for e in client.drain_events() if e["kind"] == "done"]
+            assert len(done) == len(agents)
+            assert all("error" not in e["payload"] for e in done)
+
+    tracemalloc.start()
+    try:
+        rounds(25)  # warm up: first prefills, interned ids, grown containers
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        requests = 2000
+        rounds(requests // len(agents))
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        client.close()
+        d.shutdown()
+    assert d.scheduler._requests == {}
+    assert d._submitters == {}
+    assert growth < 1024 * requests, f"{growth / requests:.0f} bytes per request"

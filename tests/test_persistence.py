@@ -215,6 +215,21 @@ def test_sidecar_corruption_detected(tmp_path):
     spec = tiny_spec()
     _, cache = build_cache(tmp_path / "pool", spec, tokens=9)
     pair = save_agent(cache, tmp_path / "store", spec)
+    good = json.loads(pair.sidecar_path.read_text())
+    assert good["block_token_counts"] == [8, 1]
+    # each value keeps the lengths and the block-count sum consistent
+    bad_fields = [
+        ("token_ids", ["oops"] + good["token_ids"][1:]),
+        ("token_ids", [1.5] + good["token_ids"][1:]),
+        ("token_ids", [True] + good["token_ids"][1:]),
+        ("char_offsets", [False] + good["char_offsets"][1:]),
+        ("block_token_counts", [8, True]),
+        ("block_token_counts", [8, 1.0]),
+    ]
+    for field, value in bad_fields:
+        pair.sidecar_path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(CorruptFileError):
+            load_agent(pair, spec_fingerprint(spec))
     pair.sidecar_path.write_text("{not json")
     with pytest.raises(CorruptFileError):
         load_agent(pair, spec_fingerprint(spec))

@@ -59,6 +59,11 @@ def kinds(events):
     return [e.kind for e in events]
 
 
+def done_payloads(events):
+    """request id -> the accounting its DONE event carries"""
+    return {e.request_id: e.payload for e in events if e.kind is EventKind.DONE}
+
+
 # ---------------------------------------------------------------------------
 # basic lifecycle
 
@@ -83,10 +88,9 @@ def test_single_request_event_shape(tmp_path):
 def test_submit_to_empty_agent_prefills_everything(tmp_path):
     _, _, engine, sched = make_world(tmp_path)
     sched.submit(Request("r1", "a", prompt_of_tokens(13), max_tokens=1))
-    sched.run_until_idle()
-    acct = sched.request_accounting()[0]
-    assert acct.prompt_tokens == 13
-    assert acct.reused_tokens == 0
+    (done,) = done_payloads(sched.run_until_idle()).values()
+    assert done["prompt_tokens"] == 13
+    assert done["reused_tokens"] == 0
     assert engine.counters.prefill_tokens == 13
 
 
@@ -162,10 +166,9 @@ def test_partial_extend_truncates_to_block_boundary(tmp_path):
     assert m.verdict is Verdict.EXTEND
     assert m.reuse_tokens % spec.block_tokens == 0
     assert 0 < m.reuse_tokens <= keep
-    sched.run_until_idle()
-    acct = {a.request_id: a for a in sched.request_accounting()}
-    assert acct["r2"].reused_tokens == m.reuse_tokens
-    assert engine.counters.prefill_tokens - before == acct["r2"].prompt_tokens - m.reuse_tokens
+    done = done_payloads(sched.run_until_idle())
+    assert done["r2"]["reused_tokens"] == m.reuse_tokens
+    assert engine.counters.prefill_tokens - before == done["r2"]["prompt_tokens"] - m.reuse_tokens
     assert pool.get_cache("a").transcript_text.startswith(prompt)
 
 
@@ -332,7 +335,7 @@ def test_work_conservation_randomized(tmp_path):
                 Request(f"p1-{i}", f"ag{i}", prompt_of_tokens(int(rng.integers(1, 12))),
                         int(rng.integers(1, 4)))
             )
-        sched.run_until_idle()
+        events = sched.run_until_idle()
         # phase 2: extensions
         for i in range(3):
             base = pool.get_cache(f"ag{i}").transcript_text
@@ -340,13 +343,14 @@ def test_work_conservation_randomized(tmp_path):
                 Request(f"p2-{i}", f"ag{i}", base + "x" * int(rng.integers(1, 30)),
                         int(rng.integers(1, 4)))
             )
-        sched.run_until_idle()
-        accounting = sched.request_accounting()
-        expected_prefill = sum(a.prompt_tokens - a.reused_tokens for a in accounting)
+        events += sched.run_until_idle()
+        accounting = done_payloads(events).values()
+        expected_prefill = sum(a["prompt_tokens"] - a["reused_tokens"] for a in accounting)
         assert engine.counters.prefill_tokens == expected_prefill
         assert engine.counters.reentrancy_violations == 0
         # every request completed
-        assert all(a.generated_tokens >= 1 for a in accounting)
+        assert len(accounting) == 6
+        assert all(a["generated"] >= 1 for a in accounting)
 
 
 def test_peak_staging_bounded_by_one_chunk(tmp_path):
@@ -443,3 +447,53 @@ def test_engine_failure_fails_only_that_request(tmp_path, monkeypatch):
     assert "error" in a_events[0].payload
     b_events = events_for(events, "rb")
     assert kinds(b_events) == [EventKind.FIRST_TOKEN, EventKind.TOKEN, EventKind.DONE]
+
+
+def test_append_failure_in_decode_fails_only_that_row(tmp_path, monkeypatch):
+    _, pool, engine, sched = make_world(tmp_path, chunk_tokens=64, record=True)
+    transcripts = prime_agents(pool, sched, ("a", "b"))
+    engine.log.clear()
+    sched.submit(Request("ra", "a", transcripts["a"], max_tokens=2))
+    sched.submit(Request("rb", "b", transcripts["b"], max_tokens=2))
+
+    real = pool.append_tokens
+
+    def flaky(agent_id, *args, **kwargs):
+        if agent_id == "a":
+            raise PersistenceError("injected append fault")
+        return real(agent_id, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "append_tokens", flaky)
+    events = sched.run_until_idle()
+    assert engine.log[0] == ("decode", ("a", "b"))  # both rows in one batch
+    a_events = events_for(events, "ra")
+    assert kinds(a_events) == [EventKind.DONE]
+    assert "injected append fault" in a_events[0].payload["error"]
+    b_events = events_for(events, "rb")
+    assert kinds(b_events) == [EventKind.FIRST_TOKEN, EventKind.TOKEN, EventKind.DONE]
+    assert b_events[-1].payload["generated"] == 2
+    assert "error" not in b_events[-1].payload
+    assert not sched.has_work()
+    # neither agent is left looking in flight
+    monkeypatch.setattr(pool, "append_tokens", real)
+    for name in ("a", "b"):
+        sched.submit(Request(f"again-{name}", name, pool.get_cache(name).transcript_text, 1))
+    assert len(done_payloads(sched.run_until_idle())) == 2
+
+
+def test_step_returns_events_emitted_outside_a_step(tmp_path):
+    spec = tiny_spec(layers=2, heads=2, k_dim=16, v_dim=16, block=8, group=8)
+    pool = BlockPool(spec, tmp_path, budget_bytes=q4_bytes(spec, 16))
+    sched = Scheduler(pool, SyntheticEngine(spec, seed=2), chunk_tokens=16, max_batch=2)
+    sched.submit(Request("r1", "a", prompt_of_tokens(12), max_tokens=1))
+    sched.submit(Request("r2", "b", prompt_of_tokens(12), max_tokens=1))
+    first = sched.run_until_idle()
+    assert any(e.kind is EventKind.EVICTED for e in first)
+    # matching against an evicted agent reloads it inside submit
+    sched.submit(Request("r3", "a", prompt_of_tokens(12), max_tokens=1))
+    events = sched.step()
+    loaded = [e for e in events if e.kind is EventKind.CACHE_LOADED]
+    assert loaded and loaded[0].tick < events[-1].tick
+    assert sched.drain() == []
+    ticks = [e.tick for e in first + events + sched.run_until_idle()]
+    assert ticks == list(range(1, len(ticks) + 1))  # no event dropped
