@@ -185,9 +185,9 @@ def extract(batch: BatchCache, spec: ModelCacheSpec) -> list[list[list[KVBlock]]
         valid = batch.valid_lens[row]
         start = padded - valid
         agent_layers = []
-        for layer_index, layer in enumerate(batch.layers):
+        for layer in batch.layers:
             blocks = []
-            for block_index, begin in enumerate(range(0, valid, spec.block_tokens)):
+            for begin in range(0, valid, spec.block_tokens):
                 end = min(begin + spec.block_tokens, valid)
                 tensors = {}
                 for side in ("k", "v"):
@@ -202,15 +202,7 @@ def extract(batch: BatchCache, spec: ModelCacheSpec) -> list[list[list[KVBlock]]
                         biases=sq.biases[row, :, sl].copy(),
                         group_size=sq.group_size,
                     )
-                blocks.append(
-                    KVBlock(
-                        layer=layer_index,
-                        block_index=block_index,
-                        token_count=end - begin,
-                        k=tensors["k"],
-                        v=tensors["v"],
-                    )
-                )
+                blocks.append(KVBlock(**tensors))
             agent_layers.append(blocks)
         out.append(agent_layers)
     return out

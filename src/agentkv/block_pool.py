@@ -3,10 +3,10 @@
 The pool owns every resident agent cache. Appends quantize incoming
 float32 K/V tensors and pack them into fixed-size blocks; when resident
 bytes exceed the budget, least-recently-used agents are persisted to disk
-and dropped from memory (Hot -> Warm). Reads transparently reload Warm
-agents. All public operations run under one reentrant guard, mirroring
-the single-lane constraint of the serving layer; disk writes triggered by
-eviction hold the same guard.
+and dropped from memory (Hot -> Warm); an evicted agent leaves only its
+id behind. Reads transparently reload Warm agents. All public operations
+run under one reentrant guard, mirroring the single-lane constraint of
+the serving layer; disk writes triggered by eviction hold the same guard.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     NotFoundError,
     PersistenceError,
     ShapeError,
-    SpecMismatchError,
 )
 from .model_spec import ModelCacheSpec, spec_fingerprint
 
@@ -70,9 +69,11 @@ class BlockPool:
         self.fingerprint = spec_fingerprint(spec)
         self.cache_dir = Path(cache_dir)
         self.budget_bytes = budget_bytes
-        self._agents: dict[str, AgentCache] = {}
+        # resident caches, least recently used first
+        self._hot: dict[str, AgentCache] = {}
+        # ids this pool evicted and has not reloaded or dropped since
+        self._warm: set[str] = set()
         self._resident_bytes = 0
-        self._clock = 0
         self._evictions = 0
         self._reloads = 0
         self._on_event: Callable[[str, str, int], None] | None = None
@@ -85,54 +86,45 @@ class BlockPool:
 
     # -- internals ---------------------------------------------------------
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def _touch(self, cache: AgentCache) -> None:
-        cache.last_touched = self._tick()
+        """Make ``cache`` the most recently used: move it to the end of _hot."""
+        self._hot.pop(cache.agent_id, None)
+        self._hot[cache.agent_id] = cache
 
     def _emit(self, kind: str, agent_id: str, nbytes: int) -> None:
         if self._on_event is not None:
             self._on_event(kind, agent_id, nbytes)
 
-    def _new_agent(self, agent_id: str) -> AgentCache:
-        if not _valid_agent_id(agent_id):
-            raise InvalidArgumentError(
-                f"agent id {agent_id!r} must be non-empty and use only [A-Za-z0-9._-]"
-            )
-        cache = AgentCache(
-            agent_id=agent_id,
-            spec_fingerprint=self.fingerprint,
-            blocks=[[] for _ in range(self.spec.num_layers)],
+    def _on_disk(self, agent_id: str) -> bool:
+        """Whether the agent's sidecar exists (it is not parsed)."""
+        return _valid_agent_id(agent_id) and (
+            persistence.sidecar_path_for(self.cache_dir, agent_id).exists()
         )
-        self._agents[agent_id] = cache
-        return cache
 
     def _ensure_resident(self, agent_id: str) -> AgentCache:
-        cache = self._agents.get(agent_id)
-        if cache is not None and cache.state is CacheState.HOT:
+        """The agent's resident cache, loaded from disk when needed.
+
+        A load may leave the pool over budget: the calling operation evicts
+        once it is done with the cache, so the cache is never its own victim.
+        """
+        cache = self._hot.get(agent_id)
+        if cache is not None:
             return cache
-        pair = persistence.discover_pair(self.cache_dir, agent_id)
+        self._warm.discard(agent_id)
+        # an invalid id names no file: "../x" must not reach outside cache_dir
+        pair = (persistence.discover_pair(self.cache_dir, agent_id)
+                if _valid_agent_id(agent_id) else None)
         if pair is None:
-            if cache is not None:
-                # registered as warm but its files vanished
-                del self._agents[agent_id]
             raise NotFoundError(f"unknown agent {agent_id!r}")
         loaded = persistence.load_agent(pair, self.fingerprint)
-        loaded.state = CacheState.HOT
-        self._agents[agent_id] = loaded
         self._resident_bytes += loaded.nbytes
         self._reloads += 1
         self._emit(_EVENT_LOADED, agent_id, loaded.nbytes)
-        self._touch(loaded)  # before budget eviction, or it is its own victim
-        self._evict_to_budget()
+        self._touch(loaded)
         return loaded
 
     def _evict_to_budget(self) -> None:
-        while self._resident_bytes > self.budget_bytes:
-            if not any(c.state is CacheState.HOT for c in self._agents.values()):
-                break
+        while self._resident_bytes > self.budget_bytes and self._hot:
             try:
                 self.evict_lru()
             except EvictionFailedError:
@@ -163,7 +155,9 @@ class BlockPool:
         ``new_char_offsets`` are per-token offsets into ``new_text``
         (defaults to all tokens starting at offset 0). Returns the agent's
         total token count. Creates the agent when unknown; runs LRU
-        eviction before returning if the pool went over budget.
+        eviction before returning if the pool went over budget. A chunk that
+        fails to quantize leaves the agent's cache unchanged and registers no
+        new agent (a Warm agent is still reloaded, as by ``get_cache``).
         """
         with self.io_guard:
             spec = self.spec
@@ -184,35 +178,51 @@ class BlockPool:
                 if v.shape != (spec.num_kv_heads, t_new, spec.v_head_dim):
                     raise ShapeError(f"layer {layer} V shape {v.shape} inconsistent with spec")
 
-            cache = self._agents.get(agent_id)
-            if cache is None:
-                try:
-                    cache = self._ensure_resident(agent_id)
-                except NotFoundError:
-                    cache = self._new_agent(agent_id)
-            elif cache.state is not CacheState.HOT:
-                cache = self._ensure_resident(agent_id)
-            if cache.spec_fingerprint != self.fingerprint:
-                raise SpecMismatchError(
-                    f"agent {agent_id!r} cache was produced under a different spec"
+            if not _valid_agent_id(agent_id):
+                raise InvalidArgumentError(
+                    f"agent id {agent_id!r} must be non-empty and use only [A-Za-z0-9._-]"
                 )
-
-            if t_new > 0:
-                base_offset = len(cache.transcript_text)
-                added = 0
-                for layer, (k, v) in enumerate(per_layer_kv):
-                    qk = quantize_tensor(np.asarray(k, dtype=np.float32), spec)
-                    qv = quantize_tensor(np.asarray(v, dtype=np.float32), spec)
-                    added += self._append_layer(cache, layer, qk, qv)
-                self._resident_bytes += added
-                cache.token_ids.extend(int(t) for t in new_token_ids)
-                cache.char_offsets.extend(base_offset + int(o) for o in new_char_offsets)
-                cache.transcript_text += new_text
-
-            cache.state = CacheState.HOT
-            self._touch(cache)
-            self._evict_to_budget()
+            try:
+                cache = self._ensure_resident(agent_id)
+            except NotFoundError:  # registered only once the chunk is in
+                cache = AgentCache(
+                    agent_id=agent_id,
+                    spec_fingerprint=self.fingerprint,
+                    blocks=[[] for _ in range(spec.num_layers)],
+                )
+            try:
+                if t_new:
+                    self._resident_bytes += self._append_chunk(cache, per_layer_kv)
+                    base_offset = len(cache.transcript_text)
+                    cache.token_ids.extend(int(t) for t in new_token_ids)
+                    cache.char_offsets.extend(base_offset + int(o) for o in new_char_offsets)
+                    cache.transcript_text += new_text
+                self._touch(cache)
+            finally:
+                self._evict_to_budget()  # a reload may have gone over budget
             return cache.token_count
+
+    def _append_chunk(self, cache: AgentCache, per_layer_kv) -> int:
+        """Quantize and append every layer, or none. Returns bytes added.
+
+        Quantizing one layer at a time bounds the transient memory to one
+        layer's quantized chunk; a layer that fails to quantize (non-finite
+        values) restores each layer's block count and tail block.
+        """
+        tails = [(len(b), b[-1].k, b[-1].v) if b else (0, None, None) for b in cache.blocks]
+        added = 0
+        try:
+            for layer, (k, v) in enumerate(per_layer_kv):
+                qk = quantize_tensor(np.asarray(k, dtype=np.float32), self.spec)
+                qv = quantize_tensor(np.asarray(v, dtype=np.float32), self.spec)
+                added += self._append_layer(cache, layer, qk, qv)
+        except BaseException:
+            for layer_blocks, (count, k, v) in zip(cache.blocks, tails):
+                del layer_blocks[count:]
+                if count:
+                    layer_blocks[-1].k, layer_blocks[-1].v = k, v
+            raise
+        return added
 
     def _append_layer(self, cache: AgentCache, layer: int, qk, qv) -> int:
         """Fill the layer's tail block, then open new blocks. Returns bytes added."""
@@ -227,15 +237,11 @@ class BlockPool:
             added -= tail.nbytes
             tail.k = concat_tokens(tail.k, slice_tokens(qk, 0, take))
             tail.v = concat_tokens(tail.v, slice_tokens(qv, 0, take))
-            tail.token_count += take
             added += tail.nbytes
             consumed = take
         while consumed < total:
             take = min(block_tokens, total - consumed)
             block = KVBlock(
-                layer=layer,
-                block_index=len(layer_blocks),
-                token_count=take,
                 k=slice_tokens(qk, consumed, consumed + take),
                 v=slice_tokens(qv, consumed, consumed + take),
             )
@@ -259,10 +265,9 @@ class BlockPool:
     def evict_lru(self) -> str | None:
         """Persist and drop the least-recently-used Hot agent."""
         with self.io_guard:
-            hot = [c for c in self._agents.values() if c.state is CacheState.HOT]
-            if not hot:
+            if not self._hot:
                 return None
-            victim = min(hot, key=lambda c: (c.last_touched, c.agent_id))
+            victim = next(iter(self._hot.values()))
             try:
                 self._save(victim)
             except PersistenceError as exc:
@@ -271,8 +276,8 @@ class BlockPool:
                 ) from exc
             freed = victim.nbytes
             self._emit(_EVENT_SAVED, victim.agent_id, freed)
-            victim.blocks = [[] for _ in range(self.spec.num_layers)]
-            victim.state = CacheState.WARM
+            del self._hot[victim.agent_id]
+            self._warm.add(victim.agent_id)
             self._resident_bytes -= freed
             self._evictions += 1
             self._emit(_EVENT_EVICTED, victim.agent_id, freed)
@@ -281,8 +286,8 @@ class BlockPool:
     def save_agent(self, agent_id: str) -> persistence.CacheFilePair:
         """Persist a Hot agent without evicting it."""
         with self.io_guard:
-            cache = self._agents.get(agent_id)
-            if cache is None or cache.state is not CacheState.HOT:
+            cache = self._hot.get(agent_id)
+            if cache is None:
                 raise NotFoundError(f"agent {agent_id!r} is not resident")
             pair = self._save(cache)
             self._emit(_EVENT_SAVED, agent_id, cache.nbytes)
@@ -295,17 +300,14 @@ class BlockPool:
         ``get_cache`` reloads the agent from disk (Cold -> Hot).
         """
         with self.io_guard:
-            cache = self._agents.get(agent_id)
-            known_on_disk = persistence.discover_pair(self.cache_dir, agent_id) is not None
-            if cache is None and not known_on_disk:
+            cache = self._hot.pop(agent_id, None)
+            if cache is None and agent_id not in self._warm and not self._on_disk(agent_id):
                 raise NotFoundError(f"unknown agent {agent_id!r}")
             if cache is not None:
-                if cache.state is CacheState.HOT:
-                    self._resident_bytes -= cache.nbytes
-                del self._agents[agent_id]
+                self._resident_bytes -= cache.nbytes
+            self._warm.discard(agent_id)
             if delete_disk:
                 persistence.remove_agent_files(self.cache_dir, agent_id)
-            self._tick()
 
     def truncate_agent(self, agent_id: str, keep_tokens: int) -> None:
         """Drop cache content beyond ``keep_tokens`` (a whole-block multiple)."""
@@ -316,57 +318,48 @@ class BlockPool:
                     f"block_tokens ({self.spec.block_tokens})"
                 )
             cache = self._ensure_resident(agent_id)
-            if keep_tokens > cache.token_count:
-                raise InvalidArgumentError("cannot truncate beyond the cached token count")
-            if keep_tokens == cache.token_count:
+            try:
+                if keep_tokens > cache.token_count:
+                    raise InvalidArgumentError("cannot truncate beyond the cached token count")
+                if keep_tokens < cache.token_count:
+                    keep_blocks = keep_tokens // self.spec.block_tokens
+                    for layer_blocks in cache.blocks:
+                        for block in layer_blocks[keep_blocks:]:
+                            self._resident_bytes -= block.nbytes
+                        del layer_blocks[keep_blocks:]
+                    cut = cache.char_offsets[keep_tokens] if keep_tokens else 0
+                    del cache.token_ids[keep_tokens:]
+                    del cache.char_offsets[keep_tokens:]
+                    cache.transcript_text = cache.transcript_text[:cut]
                 self._touch(cache)
-                return
-            keep_blocks = keep_tokens // self.spec.block_tokens
-            removed = 0
-            for layer_blocks in cache.blocks:
-                for block in layer_blocks[keep_blocks:]:
-                    removed += block.nbytes
-                del layer_blocks[keep_blocks:]
-            self._resident_bytes -= removed
-            del cache.token_ids[keep_tokens:]
-            if keep_tokens:
-                cut = cache.char_offsets[keep_tokens]
-                del cache.char_offsets[keep_tokens:]
-                cache.transcript_text = cache.transcript_text[:cut]
-            else:
-                cache.char_offsets.clear()
-                cache.transcript_text = ""
-            self._touch(cache)
+            finally:
+                self._evict_to_budget()
 
     def stats(self) -> PoolStats:
         with self.io_guard:
-            hot = sum(1 for c in self._agents.values() if c.state is CacheState.HOT)
-            warm = sum(1 for c in self._agents.values() if c.state is CacheState.WARM)
             return PoolStats(
                 resident_bytes=self._resident_bytes,
                 budget_bytes=self.budget_bytes,
-                agents_hot=hot,
-                agents_warm=warm,
+                agents_hot=len(self._hot),
+                agents_warm=len(self._warm),
                 evictions=self._evictions,
                 reloads=self._reloads,
             )
 
     def agent_state(self, agent_id: str) -> CacheState:
-        """Lifecycle state without touching the LRU clock."""
+        """Lifecycle state; does not count as a use for LRU eviction."""
         with self.io_guard:
-            cache = self._agents.get(agent_id)
-            if cache is not None:
-                return cache.state
-            if persistence.discover_pair(self.cache_dir, agent_id) is not None:
+            if agent_id in self._hot:
+                return CacheState.HOT
+            if agent_id in self._warm or self._on_disk(agent_id):
                 return CacheState.WARM
             return CacheState.COLD
 
     def known_agents(self) -> list[str]:
+        """Ids that are resident or that this pool evicted."""
         with self.io_guard:
-            return sorted(self._agents)
+            return sorted(self._hot.keys() | self._warm)
 
     def hot_agents(self) -> list[str]:
         with self.io_guard:
-            return sorted(
-                a for a, c in self._agents.items() if c.state is CacheState.HOT
-            )
+            return sorted(self._hot)

@@ -21,24 +21,24 @@ class CacheState(enum.Enum):
 class KVBlock:
     """One fixed-size block of a layer's quantized K/V cache.
 
-    ``block_index`` gives the token offset (block_index * block_tokens);
-    only the final block of a layer may hold fewer than block_tokens tokens.
+    A block's layer and token offset are its position in
+    ``AgentCache.blocks``; only the final block of a layer may hold fewer
+    than block_tokens tokens.
     """
 
-    layer: int
-    block_index: int
-    token_count: int
     k: QuantizedTensor
     v: QuantizedTensor
 
     def __post_init__(self) -> None:
-        if self.token_count < 1:
-            raise ShapeError("blocks hold at least one token")
-        if self.k.tokens != self.token_count or self.v.tokens != self.token_count:
+        if self.k.tokens < 1 or self.v.tokens != self.k.tokens:
             raise ShapeError(
-                f"block token_count {self.token_count} does not match tensors "
+                f"a block holds K and V for the same >= 1 tokens "
                 f"(k={self.k.tokens}, v={self.v.tokens})"
             )
+
+    @property
+    def token_count(self) -> int:
+        return self.k.tokens
 
     @property
     def nbytes(self) -> int:
@@ -59,8 +59,6 @@ class AgentCache:
     transcript_text: str = ""
     token_ids: list[int] = field(default_factory=list)
     char_offsets: list[int] = field(default_factory=list)
-    last_touched: int = 0
-    state: CacheState = CacheState.HOT
 
     @property
     def token_count(self) -> int:
@@ -93,8 +91,6 @@ class AgentCache:
                     f"tokens, expected {total}"
                 )
             for i, block in enumerate(layer):
-                if block.layer != layer_index or block.block_index != i:
-                    raise ShapeError("block indices inconsistent with position")
                 if i < len(layer) - 1 and block.token_count != block_tokens:
                     raise ShapeError("only the final block may be partially filled")
                 if block.token_count > block_tokens:

@@ -26,7 +26,6 @@ __all__ = [
     "dequantize_tensor",
     "f32_to_bf16_bits",
     "fp16_bytes",
-    "fp16_tensor_bytes",
     "memory_ratio",
     "pack_codes",
     "quantize_array",
@@ -182,17 +181,6 @@ class QuantizedTensor:
     def nbytes(self) -> int:
         return self.packed.size * 4 + self.scales.size * 2 + self.biases.size * 2
 
-    def copy(self) -> QuantizedTensor:
-        return QuantizedTensor(
-            heads=self.heads,
-            tokens=self.tokens,
-            dim=self.dim,
-            packed=self.packed.copy(),
-            scales=self.scales.copy(),
-            biases=self.biases.copy(),
-            group_size=self.group_size,
-        )
-
     def bitwise_equal(self, other: QuantizedTensor) -> bool:
         return (
             self.heads == other.heads
@@ -272,10 +260,6 @@ def q4_tensor_bytes(heads: int, tokens: int, dim: int, group_size: int) -> int:
     packed = heads * tokens * dim // 2
     per_group = heads * tokens * (dim // group_size)
     return packed + 2 * 2 * per_group
-
-
-def fp16_tensor_bytes(heads: int, tokens: int, dim: int, fp_bytes_per_element: int = 2) -> int:
-    return fp_bytes_per_element * heads * tokens * dim
 
 
 def q4_bytes(spec: ModelCacheSpec, tokens: int) -> int:

@@ -39,7 +39,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from .blocks import AgentCache, CacheState, KVBlock
+from .blocks import AgentCache, KVBlock
 from .codec import QuantizedTensor, q4_tensor_bytes
 from .errors import CorruptFileError, PersistenceError, SpecMismatchError
 from .model_spec import ModelCacheSpec, spec_fingerprint
@@ -420,10 +420,9 @@ def load_agent(pair: CacheFilePair, expected_fingerprint: int | None) -> AgentCa
 
     blocks = [
         [
-            KVBlock(layer=layer, block_index=b, token_count=count,
-                    k=tensor(layer, b, "k", spec.k_head_dim),
+            KVBlock(k=tensor(layer, b, "k", spec.k_head_dim),
                     v=tensor(layer, b, "v", spec.v_head_dim))
-            for b, count in enumerate(block_counts)
+            for b in range(len(block_counts))
         ]
         for layer in range(spec.num_layers)
     ]
@@ -435,7 +434,6 @@ def load_agent(pair: CacheFilePair, expected_fingerprint: int | None) -> AgentCa
         transcript_text=transcript,
         token_ids=list(token_ids),
         char_offsets=list(char_offsets),
-        state=CacheState.HOT,
     )
     cache.validate(spec.num_layers, spec.block_tokens)
     expected_bytes = sum(

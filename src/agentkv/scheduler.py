@@ -16,6 +16,7 @@ cache across phases.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 from collections import deque
@@ -26,7 +27,7 @@ from .batch import BatchCache, merge, update_and_fetch
 from .block_pool import BlockPool
 from .blocks import CacheState
 from .engine import Engine
-from .errors import AgentKVError, InvalidArgumentError
+from .errors import AgentKVError, InvalidArgumentError, NotFoundError
 from .model_spec import ModelCacheSpec
 from .prefix import MatchResult, Verdict, match
 
@@ -104,7 +105,6 @@ class Scheduler:
         self.spec: ModelCacheSpec = pool.spec
         self.chunk_tokens = chunk_tokens
         self.max_batch = max_batch
-        self.peak_staging_bytes = 0
         self._requests: dict[str, _Active] = {}
         self._seen_ids: set[str] = set()
         self._prefill_queue: deque[str] = deque()
@@ -158,11 +158,10 @@ class Scheduler:
             result: MatchResult | None = None
             suffix = request.prompt
             reused = 0
-            state = self.pool.agent_state(request.agent_id)
             if not request.persistent_cache_prefix:
-                if state is not CacheState.COLD:
+                with contextlib.suppress(NotFoundError):
                     self.pool.drop_agent(request.agent_id, delete_disk=True)
-            elif state is not CacheState.COLD:
+            elif self.pool.agent_state(request.agent_id) is not CacheState.COLD:
                 cache = self.pool.get_cache(request.agent_id)
                 result = match(cache, request.prompt, self.spec.block_tokens)
                 if result.verdict is Verdict.DIVERGE:
@@ -249,10 +248,6 @@ class Scheduler:
         active.pending_offsets = [o - cut for o in active.pending_offsets[take:]]
 
         agent_id = active.request.agent_id
-        staging = take * self.spec.num_layers * self.spec.num_kv_heads * (
-            self.spec.k_head_dim + self.spec.v_head_dim
-        ) * 4
-        self.peak_staging_bytes = max(self.peak_staging_bytes, staging)
         try:
             start = (
                 self.pool.get_cache(agent_id).token_count

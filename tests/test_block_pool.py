@@ -1,5 +1,8 @@
 """Block pool tests: blocking arithmetic, LRU, budget, isolation."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from agentkv.blocks import CacheState
 from agentkv.codec import q4_bytes
 from agentkv.errors import (
     InvalidArgumentError,
+    InvalidValueError,
     NotFoundError,
     ShapeError,
 )
@@ -108,18 +112,6 @@ def test_lru_evicts_least_recently_touched(tmp_path):
     assert pool.evict_lru() == "c"
 
 
-def test_lru_tie_breaks_lexicographically(tmp_path):
-    pool = big_pool(tmp_path, 1 << 30)
-    rng = np.random.default_rng(7)
-    append_random(pool, "z", 4, rng)
-    append_random(pool, "m", 4, rng)
-    # force equal ticks
-    za = pool.get_cache("z")
-    ma = pool.get_cache("m")
-    za.last_touched = ma.last_touched = 999
-    assert pool.evict_lru() == "m"
-
-
 def test_eviction_and_reload_round_trip(tmp_path):
     pool = big_pool(tmp_path, 1 << 30)
     rng = np.random.default_rng(8)
@@ -133,7 +125,7 @@ def test_eviction_and_reload_round_trip(tmp_path):
     assert pool.agent_state("a") is CacheState.WARM
 
     cache = pool.get_cache("a")
-    assert cache.state is CacheState.HOT
+    assert pool.agent_state("a") is CacheState.HOT
     assert cache_checksum(cache) == before
     st = pool.stats()
     assert st.reloads == 1 and st.evictions == 1
@@ -273,3 +265,104 @@ def test_bad_agent_id_rejected(pool):
         pool.append_tokens("../evil", kv, [1], "t", [0])
     with pytest.raises(InvalidArgumentError):
         pool.append_tokens("", kv, [1], "t", [0])
+
+
+def test_failed_append_leaves_cache_and_budget_unchanged(tmp_path):
+    pool = big_pool(tmp_path, 1 << 30)
+    rng = np.random.default_rng(19)
+    append_random(pool, "a", 3, rng)
+    before = cache_checksum(pool.get_cache("a"))
+    resident = pool.stats().resident_bytes
+    kv = random_kv_chunk(pool.spec, 2, rng)
+    kv[1][0][0, 0, 0] = np.nan  # layer 1 K: layer 0 quantizes fine first
+    with pytest.raises(InvalidValueError):
+        pool.append_tokens("a", kv, [1, 2], "bbbb", [0, 2])
+    cache = pool.get_cache("a")
+    assert cache_checksum(cache) == before
+    assert pool.stats().resident_bytes == resident == cache.nbytes
+    cache.validate(pool.spec.num_layers, pool.spec.block_tokens)
+    assert pool.evict_lru() == "a"
+    assert cache_checksum(pool.get_cache("a")) == before
+
+
+def test_failed_first_append_registers_nothing(tmp_path):
+    pool = big_pool(tmp_path, 1 << 30)
+    kv = random_kv_chunk(pool.spec, 2, np.random.default_rng(20))
+    kv[0][1][0, 0, 0] = np.inf
+    with pytest.raises(InvalidValueError):
+        pool.append_tokens("a", kv, [1, 2], "bbbb", [0, 2])
+    assert pool.known_agents() == []
+    assert pool.agent_state("a") is CacheState.COLD
+    assert pool.evict_lru() is None
+
+
+def test_drop_clears_an_agent_with_a_corrupt_sidecar(tmp_path):
+    pool = big_pool(tmp_path, 1 << 30)
+    append_random(pool, "a", 12, np.random.default_rng(21))
+    pool.save_agent("a")
+    pool.drop_agent("a")
+    (tmp_path / "a.meta.json").write_text("{not json", encoding="utf-8")
+    pool.drop_agent("a", delete_disk=True)
+    assert list(tmp_path.iterdir()) == []
+    assert pool.agent_state("a") is CacheState.COLD
+
+
+def test_invalid_ids_name_no_files_outside_the_cache_dir(tmp_path):
+    (tmp_path / "cache").mkdir()
+    pool = big_pool(tmp_path / "cache", 1 << 30)
+    outside = tmp_path / "outside.meta.json"
+    outside.write_text('{"tensor_file": "outside.0000000000000000.safetensors"}\n')
+    assert pool.agent_state("../outside") is CacheState.COLD
+    with pytest.raises(NotFoundError):
+        pool.get_cache("../outside")
+    with pytest.raises(NotFoundError):
+        pool.drop_agent("../outside", delete_disk=True)
+    assert outside.exists()
+
+
+def test_oversized_agent_reload_is_not_its_own_victim(tmp_path):
+    # an agent larger than the whole budget is saved with what the call added
+    spec = tiny_spec(block=8)
+    pool = BlockPool(spec, tmp_path, budget_bytes=q4_bytes(spec, 4))
+    rng = np.random.default_rng(22)
+    append_random(pool, "a", 6, rng)
+    assert pool.agent_state("a") is CacheState.WARM
+    assert append_random(pool, "a", 3, rng) == 9
+    st = pool.stats()
+    assert st.resident_bytes == 0 and st.agents_hot == 0 and st.agents_warm == 1
+    cache = pool.get_cache("a")
+    assert cache.token_count == 9 and cache.block_token_counts() == [8, 1]
+    pool.truncate_agent("a", 8)
+    assert pool.get_cache("a").token_count == 8
+    assert pool.stats().resident_bytes == 0
+
+
+def test_evicted_agents_leave_only_their_ids(tmp_path):
+    spec = tiny_spec(layers=1, heads=1, block=64)
+    pool = BlockPool(spec, tmp_path, budget_bytes=int(q4_bytes(spec, 900) * 2.5))
+    rng = np.random.default_rng(23)
+
+    def append_transcript(agent_id):
+        ids = rng.integers(0, 50_000, size=900).tolist()
+        kv = random_kv_chunk(spec, 900, rng)
+        pool.append_tokens(agent_id, kv, ids, "x" * 1800, list(range(0, 1800, 2)))
+
+    tracemalloc.start()
+    try:
+        for i in range(3):  # reach the steady state: two resident agents
+            append_transcript(f"warmup{i}")
+        gc.collect()
+        evicted_before = pool.stats().evictions
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100):
+            append_transcript(f"agent{i}")
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    st = pool.stats()
+    evicted = st.evictions - evicted_before
+    assert evicted == 100 and st.agents_hot == 2
+    assert st.agents_warm == st.evictions
+    # an evicted 900-token agent keeps its id, not its transcript and token lists
+    assert growth < 4096 * evicted, growth / evicted

@@ -1,5 +1,6 @@
 """Scenario report tests: structural checks, determinism, rendering."""
 
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,17 @@ def test_routing10_checks(tmp_path):
         assert extended == len(ph["participants"])
         # suffix-only prefill: far less than the cold full re-prefill
         assert ph["persistent"]["prefill_tokens"] < ph["cold"]["prefill_tokens"] / 2
+
+
+def test_routing10_under_eviction_pressure_is_pinned(tmp_path):
+    # a 400 KiB budget keeps about 3 of the 10 agents resident, so every
+    # eviction and reload decision shows in the report's traces
+    report = run_scenario("routing10", tmp_path / "w", seed=0, budget_bytes=400 * 1024)
+    persistent = [e["kind"] for e in report["traces"]["persistent"]]
+    assert persistent.count("evicted") == 141
+    assert persistent.count("cache_loaded") == 133
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "1e5c3cdc013d84109d654fe915fd318e49d7fb85dd87e03f25ec2a561559844f"
 
 
 def test_staggered_checks(tmp_path):

@@ -186,6 +186,22 @@ def test_non_persistent_flag_forces_fresh_prefill(tmp_path):
     assert engine.counters.prefill_tokens - before == (len(transcript) + 3) // 4
 
 
+def test_fresh_submit_replaces_an_agent_with_a_corrupt_sidecar(tmp_path):
+    _, pool, engine, sched = make_world(tmp_path)
+    prompt = prompt_of_tokens(10)
+    sched.submit(Request("r1", "a", prompt, max_tokens=1))
+    sched.run_until_idle()
+    sched.save_all()
+    pool.drop_agent("a")
+    (tmp_path / "a.meta.json").write_text("{not json", encoding="utf-8")
+    before = engine.counters.prefill_tokens
+    sched.submit(Request("r2", "a", prompt, max_tokens=1, persistent_cache_prefix=False))
+    assert list(tmp_path.iterdir()) == []
+    done = done_payloads(sched.run_until_idle())["r2"]
+    assert "error" not in done and done["reused_tokens"] == 0
+    assert engine.counters.prefill_tokens - before == 10
+
+
 # ---------------------------------------------------------------------------
 # interleaving and fairness
 
@@ -354,13 +370,12 @@ def test_work_conservation_randomized(tmp_path):
 
 
 def test_peak_staging_bounded_by_one_chunk(tmp_path):
-    spec, _, _, sched = make_world(tmp_path, chunk_tokens=4)
+    _, _, engine, sched = make_world(tmp_path, chunk_tokens=4, record=True)
     sched.submit(Request("r1", "a", prompt_of_tokens(40), max_tokens=1))
     sched.run_until_idle()
-    per_token = spec.num_layers * spec.num_kv_heads * (
-        spec.k_head_dim + spec.v_head_dim
-    ) * 4
-    assert sched.peak_staging_bytes <= 4 * per_token
+    # the engine never stages more than one 4-token chunk's K/V at a time
+    prefills = [entry for entry in engine.log if entry[0] == "prefill"]
+    assert prefills == [("prefill", "a", 4)] * 10
 
 
 def test_budget_respected_with_evictions(tmp_path):
