@@ -1,6 +1,6 @@
 """Persistent 4-bit quantized KV-cache engine for multi-agent inference."""
 
-from .batch import BatchCache, build_mask, extract, merge, oracle_attention, update_and_fetch
+from .batch import BatchCache, merge, update_and_fetch
 from .block_pool import DEFAULT_BUDGET_BYTES, BlockPool, PoolStats
 from .blocks import AgentCache, CacheState, KVBlock
 from .capacity import CapacityRow, capacity_table
@@ -8,7 +8,6 @@ from .codec import (
     QuantizedTensor,
     dequantize_tensor,
     fp16_bytes,
-    memory_ratio,
     q4_bytes,
     quantize_tensor,
 )
@@ -50,18 +49,14 @@ __all__ = [
     "Scheduler",
     "SyntheticEngine",
     "Verdict",
-    "build_mask",
     "capacity_table",
     "common_prefix_chars",
     "dequantize_tensor",
-    "extract",
     "fp16_bytes",
     "inspect_tensor_file",
     "load_agent",
     "match",
-    "memory_ratio",
     "merge",
-    "oracle_attention",
     "preset",
     "q4_bytes",
     "quantize_tensor",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .codec import fp16_bytes, q4_bytes
 from .errors import InvalidArgumentError
@@ -159,16 +159,7 @@ def render_json(spec: ModelCacheSpec, budget_bytes: float, rows: list[CapacityRo
         {
             "model": spec.model_id,
             "budget_bytes": budget_bytes,
-            "rows": [
-                {
-                    "context_tokens": r.context_tokens,
-                    "fp16_bytes_per_agent": r.fp16_bytes_per_agent,
-                    "q4_bytes_per_agent": r.q4_bytes_per_agent,
-                    "fp16_agents_fit": r.fp16_agents_fit,
-                    "q4_agents_fit": r.q4_agents_fit,
-                }
-                for r in rows
-            ],
+            "rows": [asdict(row) for row in rows],
         },
         sort_keys=True,
         separators=(",", ":"),

@@ -26,7 +26,6 @@ __all__ = [
     "dequantize_tensor",
     "f32_to_bf16_bits",
     "fp16_bytes",
-    "memory_ratio",
     "pack_codes",
     "quantize_array",
     "quantize_tensor",
@@ -279,9 +278,3 @@ def fp16_bytes(spec: ModelCacheSpec, tokens: int) -> int:
     ) * tokens
     return spec.num_layers * per_layer
 
-
-def memory_ratio(group_size: int) -> float:
-    """Quantized-to-FP16 byte ratio: (1 + 8/g) / 4."""
-    if group_size < 1:
-        raise InvalidValueError("group_size must be >= 1")
-    return (1.0 + 8.0 / group_size) / 4.0

@@ -19,8 +19,10 @@ One agent persists as a pair of files in the cache directory:
 The sidecar rename is the commit point: the tensor file is fully written
 and fsynced under its final (content-addressed) name before the sidecar
 replaces the previous one, so a crash at any instant leaves either the
-old pair or the new pair, never a torn mix. Stale tensor files are swept
-after commit.
+old pair or the new pair, never a torn mix. The directory is fsynced
+after each rename, so the tensor file's name is durable before the
+sidecar that names it, and the commit is durable when the save returns.
+Stale tensor files are swept after commit.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ _FIELDS = (
 )
 # container dtype -> (little-endian file dtype, native in-memory dtype)
 _NP_DTYPE = {"U32": ("<u4", np.uint32), "BF16": ("<u2", np.uint16)}
+# {agent_id}.{16 hex}.safetensors; the fixed-length suffix leaves group 1 the id
+_TENSOR_NAME = re.compile(r"(.+)\.[0-9a-f]{16}\.safetensors")
 
 
 def _layout(spec: ModelCacheSpec, block_counts: list[int]) -> list[_TensorSlot]:
@@ -138,6 +142,11 @@ def _atomic_write(path: Path, segments: Iterable) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)  # makes the rename itself durable
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise PersistenceError(f"failed to write {path}: {exc}") from exc
@@ -145,8 +154,10 @@ def _atomic_write(path: Path, segments: Iterable) -> None:
 
 def _agent_tensor_files(directory: Path, agent_id: str) -> list[Path]:
     """Tensor files named exactly ``{agent_id}.{16 hex}.safetensors``."""
-    pattern = re.compile(rf"{re.escape(agent_id)}\.[0-9a-f]{{16}}\.safetensors")
-    return [p for p in directory.glob("*.safetensors") if pattern.fullmatch(p.name)]
+    return [
+        p for p in directory.glob("*.safetensors")
+        if (m := _TENSOR_NAME.fullmatch(p.name)) and m.group(1) == agent_id
+    ]
 
 
 def save_agent(cache: AgentCache, directory: Path | str, spec: ModelCacheSpec) -> CacheFilePair:

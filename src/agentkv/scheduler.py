@@ -17,7 +17,6 @@ cache across phases.
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -57,9 +56,6 @@ class Event:
             "payload": self.payload,
             "tick": self.tick,
         }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""Shared test fixtures: small specs, synthetic KV chunks, cache checksums."""
+"""Shared test fixtures: small specs, synthetic KV chunks, cache checksums, event lines."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
 from agentkv.blocks import AgentCache
 from agentkv.model_spec import GLOBAL, ModelCacheSpec
+from agentkv.scheduler import Event
 
 
 def tiny_spec(
@@ -71,3 +73,8 @@ def cache_checksum(cache: AgentCache) -> str:
                 h.update(np.ascontiguousarray(qt.scales).tobytes())
                 h.update(np.ascontiguousarray(qt.biases).tobytes())
     return h.hexdigest()
+
+
+def event_line(event: Event) -> str:
+    """Canonical JSON of one scheduler event, for trace-equality checks."""
+    return json.dumps(event.to_json_dict(), sort_keys=True, separators=(",", ":"))

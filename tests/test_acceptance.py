@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentkv.batch import build_mask, merge, oracle_attention
+from agentkv.batch import merge
 from agentkv.block_pool import BlockPool
 from agentkv.capacity import capacity_table
 from agentkv.codec import (
@@ -38,7 +38,8 @@ from agentkv.prefix import match
 from agentkv.scenarios import run_scenario
 from agentkv.scheduler import EventKind, Request, Scheduler
 
-from .helpers import append_random, cache_checksum, tiny_spec
+from .batch_oracle import build_mask, oracle_attention
+from .helpers import append_random, cache_checksum, event_line, tiny_spec
 from .oracles import mask_visible, match_brute_force, reference_attention_single
 from .trace_oracle import PolicySim
 
@@ -340,7 +341,7 @@ def test_criterion_4_batched_equivalence(tmp_path):
                 mask = build_mask(
                     GLOBAL if window is None else sliding_window(window),
                     q_len, k_len, valid_lens,
-                ).additive
+                )
                 for row, valid in enumerate(valid_lens):
                     got = np.isfinite(mask[row, 0, 0])
                     expected = _visible_np(window, q_len, k_len, valid)
@@ -525,7 +526,7 @@ def test_criterion_6_scheduler_laws(tmp_path):
         sched.submit(Request("r2", "b", "p" * 20, 3))
         events = sched.run_until_idle()
         events += sched.save_all()
-        return [e.to_json_line() for e in events]
+        return [event_line(e) for e in events]
 
     assert scripted(tmp_path / "det1") == scripted(tmp_path / "det2")
 

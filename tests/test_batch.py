@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from agentkv.batch import build_mask, extract, merge, oracle_attention, update_and_fetch
+from agentkv.batch import merge, update_and_fetch
 from agentkv.block_pool import BlockPool
 from agentkv.codec import dequantize_tensor
 from agentkv.errors import InvalidArgumentError, ShapeError, SpecMismatchError
 from agentkv.model_spec import GLOBAL, sliding_window, spec_fingerprint
 
+from .batch_oracle import build_mask, extract, oracle_attention
 from .helpers import append_random, random_kv_chunk, tiny_spec
 from .oracles import mask_visible, reference_attention_single
 
@@ -41,7 +42,7 @@ def test_merge_equal_lengths_has_no_filler(tmp_path):
     batch = merge([pool.get_cache("a"), pool.get_cache("b")], spec)
     assert batch.padded_len == 12
     assert batch.valid_lens == [12, 12]
-    assert batch.pad_start(0) == batch.pad_start(1) == 0
+    assert batch.padded_len - batch.valid_lens[0] == batch.padded_len - batch.valid_lens[1] == 0
 
 
 def test_merge_left_pads_shorter_rows(tmp_path):
@@ -49,7 +50,7 @@ def test_merge_left_pads_shorter_rows(tmp_path):
     pool = pool_with_agents(tmp_path, spec, {"a": 5, "b": 17})
     batch = merge([pool.get_cache("a"), pool.get_cache("b")], spec)
     assert batch.padded_len == 17
-    assert batch.pad_start(0) == 12
+    assert batch.padded_len - batch.valid_lens[0] == 12
     # filler dequantizes to zero
     sq = batch.layers[0]["k"]
     from agentkv.codec import dequantize_array
@@ -184,13 +185,13 @@ def test_update_shape_errors(tmp_path):
 
 
 def test_causal_mask_is_lower_triangular():
-    mask = build_mask(GLOBAL, 4, 4, [4]).additive[0, 0, 0]
+    mask = build_mask(GLOBAL, 4, 4, [4])[0, 0, 0]
     visible = np.isfinite(mask)
     assert np.array_equal(visible, np.tril(np.ones((4, 4), dtype=bool)))
 
 
 def test_sliding_window_mask_width_two():
-    mask = build_mask(sliding_window(2), 4, 4, [4]).additive[0, 0, 0]
+    mask = build_mask(sliding_window(2), 4, 4, [4])[0, 0, 0]
     visible = np.isfinite(mask)
     for i in range(4):
         expected = {j for j in (i - 1, i) if j >= 0}
@@ -198,7 +199,7 @@ def test_sliding_window_mask_width_two():
 
 
 def test_left_pad_positions_invisible():
-    mask = build_mask(GLOBAL, 2, 6, [6, 3]).additive
+    mask = build_mask(GLOBAL, 2, 6, [6, 3])
     row1 = np.isfinite(mask[1, 0, 0])
     assert not row1[:, :3].any()  # first 3 key positions padded out
     row0 = np.isfinite(mask[0, 0, 0])
@@ -211,7 +212,7 @@ def test_mask_matches_predicate_exhaustively():
         for k_len in (1, 7, 33, 64):
             for q_len in (1, min(5, k_len), k_len):
                 valid_lens = [k_len, max(q_len, k_len // 2), max(q_len, 1)]
-                mask = build_mask(kind, q_len, k_len, valid_lens).additive
+                mask = build_mask(kind, q_len, k_len, valid_lens)
                 for row, valid in enumerate(valid_lens):
                     got = np.isfinite(mask[row, 0, 0])
                     for i in range(q_len):

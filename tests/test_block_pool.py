@@ -365,4 +365,4 @@ def test_evicted_agents_leave_only_their_ids(tmp_path):
     assert evicted == 100 and st.agents_hot == 2
     assert st.agents_warm == st.evictions
     # an evicted 900-token agent keeps its id, not its transcript and token lists
-    assert growth < 4096 * evicted, growth / evicted
+    assert growth < 512 * evicted, growth / evicted

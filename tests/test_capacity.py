@@ -10,7 +10,6 @@ from agentkv.capacity import (
     render_table,
     render_tsv,
 )
-from agentkv.codec import memory_ratio
 from agentkv.errors import InvalidArgumentError
 from agentkv.model_spec import preset
 
@@ -51,7 +50,7 @@ def test_ratio_exact_for_symmetric_dims():
     for model in ("gemma3-12b", "llama31-8b", "deepseek-v2-lite-16b"):
         spec = preset(model)
         for row in capacity_table(spec, BUDGET, [1024, 4096, 32768]):
-            assert row.q4_bytes_per_agent / row.fp16_bytes_per_agent == memory_ratio(64)
+            assert row.q4_bytes_per_agent / row.fp16_bytes_per_agent == (1 + 8 / 64) / 4
 
 
 def test_zero_context_reports_unbounded():

@@ -12,7 +12,6 @@ from agentkv.codec import (
     dequantize_tensor,
     f32_to_bf16_bits,
     fp16_bytes,
-    memory_ratio,
     pack_codes,
     q4_bytes,
     q4_tensor_bytes,
@@ -319,14 +318,6 @@ def test_q4_tensor_bytes_matches_array_sizes():
     spec = small_spec()
     q = quantize_tensor(np.zeros((2, 7, 64), dtype=np.float32), spec)
     assert q.nbytes == q4_tensor_bytes(2, 7, 64, spec.group_size)
-
-
-def test_memory_ratio_values():
-    assert memory_ratio(64) == 0.28125
-    assert memory_ratio(8) == 0.5
-    for g in (1, 2, 4, 16, 64, 256, 4096):
-        assert memory_ratio(g) > 0.25
-    assert memory_ratio(64) < memory_ratio(32)
 
 
 def test_zero_token_accounting():

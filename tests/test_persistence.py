@@ -466,6 +466,32 @@ def test_crash_at_each_save_step_keeps_old_or_new_state(tmp_path, monkeypatch, s
     assert cache_checksum(fresh.get_cache("a")) in (old, new)
 
 
+def test_save_fsyncs_the_directory_after_each_rename(tmp_path, monkeypatch):
+    import os
+    import stat
+
+    pool, cache = build_cache(tmp_path / "build", tiny_spec(), 11)
+    log = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def logging_fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            log.append("fsync dir")
+        return real_fsync(fd)
+
+    def logging_replace(src, dst, *args, **kwargs):
+        result = real_replace(src, dst, *args, **kwargs)
+        log.append("rename " + ("sidecar" if str(dst).endswith(".meta.json") else "tensor"))
+        return result
+
+    monkeypatch.setattr(os, "fsync", logging_fsync)
+    monkeypatch.setattr(os, "replace", logging_replace)
+    save_agent(cache, tmp_path / "store", pool.spec)
+    # the tensor's name is durable before the sidecar names it, and the
+    # commit is durable before save_agent returns
+    assert log == ["rename tensor", "fsync dir", "rename sidecar", "fsync dir"]
+
+
 # ---------------------------------------------------------------------------
 # the exact bytes of a saved pair
 

@@ -10,7 +10,7 @@ from agentkv.errors import InvalidArgumentError, PersistenceError
 from agentkv.prefix import Verdict
 from agentkv.scheduler import EventKind, Request, Scheduler
 
-from .helpers import tiny_spec
+from .helpers import event_line, tiny_spec
 from .trace_oracle import PolicySim
 
 
@@ -334,7 +334,7 @@ def run_scripted(tmp_path, name):
     events = sched.run_until_idle()
     sched.submit(Request("r3", "a", pool.get_cache("a").transcript_text + "more!!!", 1))
     events += sched.run_until_idle()
-    return [e.to_json_line() for e in events]
+    return [event_line(e) for e in events]
 
 
 def test_full_trace_determinism(tmp_path):
