@@ -1,48 +1,40 @@
-"""Batched quantized caches: merge and append.
+"""Batched decode over the pool's caches: a descriptor, not a copy.
 
-Several agents' caches merge into one left-padded batch (rows align at
-the right edge, so decode appends uniformly). Padding positions hold a
-deterministic filler (codes 0, scale 1, bias 0) that dequantizes to zero;
-a row's first ``padded_len - valid_lens[row]`` positions are padding.
-Each decode step quantizes the new tokens and appends them to every row.
+A ``BatchCache`` names the agents that one engine call decodes together:
+their ids, their valid lengths and their live ``AgentCache`` records,
+which hold the pool's own blocks. Nothing here copies, pads or quantizes
+K/V. ``merge`` validates the rows; ``update_and_fetch`` checks one
+step's new K/V, advances every row's length and splits the K/V into the
+per-row, per-layer pairs that ``BlockPool.append_tokens`` quantizes into
+each agent's blocks, so every token is stored once and quantized once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .blocks import AgentCache
-from .codec import quantize_array
+from .codec import quantize_array  # noqa: F401  (perfbench/tracer.py patches this name)
 from .errors import InvalidArgumentError, ShapeError, SpecMismatchError
 from .model_spec import ModelCacheSpec, spec_fingerprint
 
 __all__ = ["BatchCache", "merge", "update_and_fetch"]
 
-_FILLER_SCALE_BITS = np.uint16(0x3F80)  # bf16 1.0
-
-
-@dataclass
-class _StackedQuant:
-    """One layer's K or V for the whole batch, token axis left-padded."""
-
-    packed: np.ndarray  # (batch, heads, padded, dim/8) uint32
-    scales: np.ndarray  # (batch, heads, padded, dim/group) uint16
-    biases: np.ndarray  # (batch, heads, padded, dim/group) uint16
-    dim: int
-    group_size: int
-
 
 @dataclass
 class BatchCache:
-    """Left-padded stack of several agents' quantized caches."""
+    """The rows of one batched decode step, over the pool's caches."""
 
     agent_ids: tuple[str, ...]
     valid_lens: list[int]
     spec_fingerprint: int
-    layers: list[dict[str, _StackedQuant]]
+    caches: list[AgentCache]
+    # Always empty: the pool's blocks are the only copy of the K/V. Kept
+    # because perfbench/tracer.py sums it for batch.update_bytes_per_step.
+    layers: list = field(default_factory=list)
 
     @property
     def batch(self) -> int:
@@ -50,46 +42,14 @@ class BatchCache:
 
     @property
     def padded_len(self) -> int:
+        """The longest row: the width of a dense left-padded view."""
         return max(self.valid_lens) if self.valid_lens else 0
-
-
-def _layer_tokens(
-    cache: AgentCache, layer: int, side: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    tensors = [getattr(b, side) for b in cache.blocks[layer]]
-    if not tensors:
-        return None
-    packed = np.concatenate([t.packed for t in tensors], axis=1)
-    scales = np.concatenate([t.scales for t in tensors], axis=1)
-    biases = np.concatenate([t.biases for t in tensors], axis=1)
-    return packed, scales, biases
-
-
-def _stack_side(
-    caches: Sequence[AgentCache], layer: int, side: str, heads: int, dim: int, group: int,
-    padded: int,
-) -> _StackedQuant:
-    batch = len(caches)
-    packed = np.zeros((batch, heads, padded, dim // 8), dtype=np.uint32)
-    scales = np.full((batch, heads, padded, dim // group), _FILLER_SCALE_BITS, dtype=np.uint16)
-    biases = np.zeros((batch, heads, padded, dim // group), dtype=np.uint16)
-    for row, cache in enumerate(caches):
-        parts = _layer_tokens(cache, layer, side)
-        if parts is None:
-            continue
-        p, s, b = parts
-        t = p.shape[1]
-        if t:
-            packed[row, :, padded - t :] = p
-            scales[row, :, padded - t :] = s
-            biases[row, :, padded - t :] = b
-    return _StackedQuant(packed=packed, scales=scales, biases=biases, dim=dim, group_size=group)
 
 
 def merge(
     caches: Sequence[AgentCache], spec: ModelCacheSpec, max_batch: int = 2
 ) -> BatchCache:
-    """Stack agents' caches along a batch axis, left-padding shorter rows."""
+    """Describe agents' caches as the rows of one batch; copies nothing."""
     if not caches:
         raise InvalidArgumentError("merge needs at least one cache")
     if len(caches) > max_batch:
@@ -102,27 +62,11 @@ def merge(
             raise SpecMismatchError(
                 f"cache {cache.agent_id!r} carries a different spec fingerprint"
             )
-    valid = [c.token_count for c in caches]
-    padded = max(valid)
-    layers = []
-    for layer in range(spec.num_layers):
-        layers.append(
-            {
-                "k": _stack_side(
-                    caches, layer, "k", spec.num_kv_heads, spec.k_head_dim,
-                    spec.group_size, padded,
-                ),
-                "v": _stack_side(
-                    caches, layer, "v", spec.num_kv_heads, spec.v_head_dim,
-                    spec.group_size, padded,
-                ),
-            }
-        )
     return BatchCache(
         agent_ids=tuple(c.agent_id for c in caches),
-        valid_lens=valid,
+        valid_lens=[c.token_count for c in caches],
         spec_fingerprint=fingerprint,
-        layers=layers,
+        caches=list(caches),
     )
 
 
@@ -131,35 +75,27 @@ def update_and_fetch(
     new_k: Sequence[np.ndarray],
     new_v: Sequence[np.ndarray],
     spec: ModelCacheSpec,
-) -> BatchCache:
-    """Quantize and append new tokens at the right edge of every row.
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Check one step's new K/V, advance every row and split it by row.
 
     ``new_k``/``new_v`` hold one float32 array per layer, shaped
     (batch, heads, t_new, k_head_dim) and (batch, heads, t_new, v_head_dim).
+    Returns, per row, one (K, V) pair per layer shaped (heads, t_new, dim):
+    views that ``BlockPool.append_tokens`` takes for that row's agent.
+    A shape error leaves the batch unchanged.
     """
     if len(new_k) != spec.num_layers or len(new_v) != spec.num_layers:
         raise ShapeError(f"expected {spec.num_layers} per-layer K and V arrays")
-    first = np.asarray(new_k[0])
+    new_k = [np.asarray(k) for k in new_k]
+    new_v = [np.asarray(v) for v in new_v]
+    first = new_k[0]
     if first.ndim != 4 or first.shape[2] < 1:
         raise ShapeError(f"K arrays must be (batch, heads, t_new >= 1, dim), got {first.shape}")
     t_new = first.shape[2]
     for layer, (k, v) in enumerate(zip(new_k, new_v)):
-        k = np.asarray(k)
-        v = np.asarray(v)
         if k.shape != (batch.batch, spec.num_kv_heads, t_new, spec.k_head_dim):
             raise ShapeError(f"layer {layer} K shape {k.shape} inconsistent")
         if v.shape != (batch.batch, spec.num_kv_heads, t_new, spec.v_head_dim):
             raise ShapeError(f"layer {layer} V shape {v.shape} inconsistent")
-
-    for layer, (k, v) in enumerate(zip(new_k, new_v)):
-        for side, arr in (("k", k), ("v", v)):
-            packed, scales, biases = quantize_array(
-                np.asarray(arr, dtype=np.float32), spec.group_size
-            )
-            stacked = batch.layers[layer][side]
-            stacked.packed = np.concatenate([stacked.packed, packed], axis=2)
-            stacked.scales = np.concatenate([stacked.scales, scales], axis=2)
-            stacked.biases = np.concatenate([stacked.biases, biases], axis=2)
-    batch.valid_lens = [v + t_new for v in batch.valid_lens]
-    return batch
-
+    batch.valid_lens = [n + t_new for n in batch.valid_lens]
+    return [[(k[row], v[row]) for k, v in zip(new_k, new_v)] for row in range(batch.batch)]

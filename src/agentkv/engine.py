@@ -69,8 +69,13 @@ class Engine(Protocol):
     ) -> tuple[list[int], list[str], list[np.ndarray], list[np.ndarray]]:
         """One batched decode step.
 
-        Returns (token_ids, token_texts, new_k, new_v) where new_k/new_v
-        hold one (batch, heads, 1, dim) float32 array per layer.
+        Row ``r`` of the batch is agent ``batch.agent_ids[r]``, whose new
+        token sits at position ``batch.valid_lens[r]``; ``batch.caches[r]``
+        is that agent's quantized cache, the pool's live blocks, for an
+        engine that attends over it (read-only). No dense or padded copy
+        is built. Returns (token_ids, token_texts, new_k, new_v) where
+        new_k/new_v hold one (batch, heads, 1, dim) float32 array per
+        layer; the scheduler appends each row to its agent's blocks.
         """
 
 

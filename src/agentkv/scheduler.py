@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .batch import BatchCache, merge, update_and_fetch
+from .batch import merge, update_and_fetch
 from .block_pool import BlockPool
 from .blocks import CacheState
 from .engine import Engine
@@ -31,6 +31,10 @@ from .model_spec import ModelCacheSpec
 from .prefix import MatchResult, Verdict, match
 
 __all__ = ["Event", "EventKind", "Request", "Scheduler"]
+
+# A finished request's id stays refused until this many later requests have
+# finished: the reuse horizon of docs/FORMAT.md.
+_FINISHED_IDS_KEPT = 4096
 
 
 class EventKind(Enum):
@@ -84,7 +88,9 @@ class Scheduler:
     Holds only in-flight state: a request leaves the table when its DONE
     event (which carries its token accounting) is emitted, and events wait
     in one pending list until ``step``, ``run_until_idle``, ``save_all``,
-    ``restore`` or ``drain`` hands them out.
+    ``restore`` or ``drain`` hands them out. A finished request leaves its
+    id behind, refused for reuse until ``_FINISHED_IDS_KEPT`` later
+    requests have finished.
     """
 
     def __init__(
@@ -102,12 +108,12 @@ class Scheduler:
         self.chunk_tokens = chunk_tokens
         self.max_batch = max_batch
         self._requests: dict[str, _Active] = {}
-        self._seen_ids: set[str] = set()
+        # ids of the last _FINISHED_IDS_KEPT finished requests, oldest first
+        self._finished_ids: dict[str, None] = {}
         self._prefill_queue: deque[str] = deque()
         self._decode_ready: deque[str] = deque()
         self._last_unit: str | None = None
         self._tick = 0
-        self._batch: BatchCache | None = None
         self._events: list[Event] = []
         self._lock = threading.RLock()
         pool.set_event_sink(self._pool_event)
@@ -138,7 +144,7 @@ class Scheduler:
     def submit(self, request: Request) -> MatchResult | None:
         """Enqueue a request; returns the prefix-match verdict, if any."""
         with self._lock:
-            if request.request_id in self._seen_ids:
+            if request.request_id in self._requests or request.request_id in self._finished_ids:
                 raise InvalidArgumentError(
                     f"duplicate request_id {request.request_id!r}"
                 )
@@ -149,7 +155,6 @@ class Scheduler:
                     raise InvalidArgumentError(
                         f"agent {request.agent_id!r} already has an in-flight request"
                     )
-            self._seen_ids.add(request.request_id)
 
             result: MatchResult | None = None
             suffix = request.prompt
@@ -227,6 +232,9 @@ class Scheduler:
         if error is not None:
             payload["error"] = error
         self._emit(EventKind.DONE, request_id, payload)
+        self._finished_ids[request_id] = None
+        if len(self._finished_ids) > _FINISHED_IDS_KEPT:
+            del self._finished_ids[next(iter(self._finished_ids))]
 
     def _prefill_unit(self) -> None:
         request_id = self._prefill_queue.popleft()
@@ -266,17 +274,10 @@ class Scheduler:
         agents = [self._requests[r].request.agent_id for r in request_ids]
         try:
             caches = [self.pool.get_cache(a) for a in agents]
-            if (
-                self._batch is None
-                or self._batch.agent_ids != tuple(agents)
-                or self._batch.valid_lens != [c.token_count for c in caches]
-            ):
-                self._batch = merge(caches, self.spec, max_batch=self.max_batch)
-            batch = self._batch
+            batch = merge(caches, self.spec, max_batch=self.max_batch)
             token_ids, texts, new_k, new_v = self.engine.decode_step(batch)
-            update_and_fetch(batch, new_k, new_v, self.spec)
+            rows_kv = update_and_fetch(batch, new_k, new_v, self.spec)
         except AgentKVError as exc:
-            self._batch = None
             for request_id in request_ids:
                 self._finish(request_id, f"decode failed: {exc}")
             return
@@ -284,13 +285,9 @@ class Scheduler:
         survivors = []
         for row, request_id in enumerate(request_ids):
             active = self._requests[request_id]
-            kv = [
-                (new_k[layer][row], new_v[layer][row])
-                for layer in range(self.spec.num_layers)
-            ]
             try:
                 self.pool.append_tokens(
-                    agents[row], kv, [token_ids[row]], texts[row], [0]
+                    agents[row], rows_kv[row], [token_ids[row]], texts[row], [0]
                 )
             except AgentKVError as exc:
                 self._finish(request_id, f"decode failed: {exc}")

@@ -1,8 +1,12 @@
-"""Batched reference attention over a merged cache, for the tests.
+"""Dense left-padded view of a batch and reference attention over it.
 
-The program never attends: it merges agents' caches into one left-padded
-batch and appends decoded tokens (``agentkv.batch``). These helpers let
-the tests prove that layout right. ``extract`` splits a batch back into
+The program never builds a dense batch: ``agentkv.batch.merge`` only
+describes the rows, whose live caches hold the pool's blocks. These
+helpers build, from ``batch.caches``, the left-padded layout a dense
+attention kernel would read (rows align at the right edge; a row's first
+``padded_len - valid_lens[row]`` positions hold codes 0, scale 1 and
+bias 0, which dequantize to zero) and prove it right. ``padded_side``
+stacks one layer's K or V, ``extract`` splits that view back into
 per-agent blocks, ``build_mask`` states which keys each query sees, and
 ``oracle_attention`` dequantizes a layer through ``agentkv.codec``,
 groups query heads for GQA, applies the causal, sliding-window and
@@ -24,31 +28,68 @@ from agentkv.codec import QuantizedTensor, dequantize_array
 from agentkv.errors import ShapeError
 from agentkv.model_spec import AttentionKind, ModelCacheSpec
 
+_FILLER_SCALE_BITS = np.uint16(0x3F80)  # bf16 1.0
+
+
+def padded_side(
+    batch: BatchCache, spec: ModelCacheSpec, layer: int, side: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(packed, scales, biases) of one layer's K or V for every row.
+
+    Shapes are (batch, heads, padded_len, dim/8) and
+    (batch, heads, padded_len, dim/group_size); shorter rows are
+    left-padded with filler that dequantizes to zero.
+    """
+    for row, cache in enumerate(batch.caches):
+        if cache.token_count != batch.valid_lens[row]:
+            raise ShapeError(
+                f"row {row} cache holds {cache.token_count} tokens, "
+                f"the batch says {batch.valid_lens[row]}"
+            )
+    dim = spec.k_head_dim if side == "k" else spec.v_head_dim
+    shape = (batch.batch, spec.num_kv_heads, batch.padded_len)
+    packed = np.zeros(shape + (dim // 8,), dtype=np.uint32)
+    scales = np.full(shape + (dim // spec.group_size,), _FILLER_SCALE_BITS, dtype=np.uint16)
+    biases = np.zeros(shape + (dim // spec.group_size,), dtype=np.uint16)
+    for row, cache in enumerate(batch.caches):
+        start = batch.padded_len - cache.token_count
+        for block in cache.blocks[layer]:
+            tensor = getattr(block, side)
+            stop = start + tensor.tokens
+            packed[row, :, start:stop] = tensor.packed
+            scales[row, :, start:stop] = tensor.scales
+            biases[row, :, start:stop] = tensor.biases
+            start = stop
+    return packed, scales, biases
+
 
 def extract(batch: BatchCache, spec: ModelCacheSpec) -> list[list[list[KVBlock]]]:
-    """Split back into per-agent, per-layer block lists with padding removed."""
+    """Split the padded view back into per-agent, per-layer block lists."""
+    views = [
+        {side: padded_side(batch, spec, layer, side) for side in ("k", "v")}
+        for layer in range(spec.num_layers)
+    ]
     out = []
     padded = batch.padded_len
     for row in range(batch.batch):
         valid = batch.valid_lens[row]
         start = padded - valid
         agent_layers = []
-        for layer in batch.layers:
+        for layer in views:
             blocks = []
             for begin in range(0, valid, spec.block_tokens):
                 end = min(begin + spec.block_tokens, valid)
+                sl = slice(start + begin, start + end)
                 tensors = {}
-                for side in ("k", "v"):
-                    sq = layer[side]
-                    sl = slice(start + begin, start + end)
+                for side, (packed, scales, biases) in layer.items():
                     tensors[side] = QuantizedTensor(
                         heads=spec.num_kv_heads,
                         tokens=end - begin,
-                        dim=sq.dim,
-                        packed=sq.packed[row, :, sl].copy(),
-                        scales=sq.scales[row, :, sl].copy(),
-                        biases=sq.biases[row, :, sl].copy(),
-                        group_size=sq.group_size,
+                        dim=spec.k_head_dim if side == "k" else spec.v_head_dim,
+                        packed=packed[row, :, sl].copy(),
+                        scales=scales[row, :, sl].copy(),
+                        biases=biases[row, :, sl].copy(),
+                        group_size=spec.group_size,
                     )
                 blocks.append(KVBlock(**tensors))
             agent_layers.append(blocks)
@@ -81,7 +122,7 @@ def build_mask(
 def oracle_attention(
     q: np.ndarray, batch: BatchCache, layer: int, spec: ModelCacheSpec
 ) -> np.ndarray:
-    """Reference attention over a merged batch for one layer.
+    """Reference attention over a batch's padded view for one layer.
 
     q is float32 (batch, query_heads, q_len, k_head_dim); queries occupy
     the final q_len positions of every row. Dequantizes the layer's K/V,
@@ -105,10 +146,8 @@ def oracle_attention(
             "the shortest valid length"
         )
 
-    sq_k = batch.layers[layer]["k"]
-    sq_v = batch.layers[layer]["v"]
-    k = dequantize_array(sq_k.packed, sq_k.scales, sq_k.biases, sq_k.group_size)
-    v = dequantize_array(sq_v.packed, sq_v.scales, sq_v.biases, sq_v.group_size)
+    k = dequantize_array(*padded_side(batch, spec, layer, "k"), spec.group_size)
+    v = dequantize_array(*padded_side(batch, spec, layer, "v"), spec.group_size)
     k_len = batch.padded_len
 
     n_rep = spec.n_rep

@@ -1,4 +1,4 @@
-"""Batch cache tests: merge/extract identity, masks, oracle equivalence."""
+"""Batch tests: the descriptor, its padded view, masks, oracle equivalence."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from agentkv.codec import dequantize_tensor
 from agentkv.errors import InvalidArgumentError, ShapeError, SpecMismatchError
 from agentkv.model_spec import GLOBAL, sliding_window, spec_fingerprint
 
-from .batch_oracle import build_mask, extract, oracle_attention
+from .batch_oracle import build_mask, extract, oracle_attention, padded_side
 from .helpers import append_random, random_kv_chunk, tiny_spec
 from .oracles import mask_visible, reference_attention_single
 
@@ -52,10 +52,9 @@ def test_merge_left_pads_shorter_rows(tmp_path):
     assert batch.padded_len == 17
     assert batch.padded_len - batch.valid_lens[0] == 12
     # filler dequantizes to zero
-    sq = batch.layers[0]["k"]
     from agentkv.codec import dequantize_array
 
-    values = dequantize_array(sq.packed, sq.scales, sq.biases, sq.group_size)
+    values = dequantize_array(*padded_side(batch, spec, 0, "k"), spec.group_size)
     assert np.all(values[0, :, :12] == 0.0)
     assert not np.all(values[0, :, 12:] == 0.0)
 
@@ -67,12 +66,15 @@ def test_merge_extract_bitwise_identity(tmp_path):
     batch = merge(caches, spec)
     restored = extract(batch, spec)
     for cache, layers in zip(caches, restored):
+        compared = 0
         for orig_layer, new_layer in zip(cache.blocks, layers):
             assert len(orig_layer) == len(new_layer)
             for ob, nb in zip(orig_layer, new_layer):
                 assert ob.token_count == nb.token_count
                 assert ob.k.bitwise_equal(nb.k)
                 assert ob.v.bitwise_equal(nb.v)
+            compared += 1
+        assert compared == spec.num_layers
 
 
 def test_merge_single_agent_identity(tmp_path):
@@ -80,9 +82,31 @@ def test_merge_single_agent_identity(tmp_path):
     pool = pool_with_agents(tmp_path, spec, {"a": 9})
     cache = pool.get_cache("a")
     [layers] = extract(merge([cache], spec), spec)
+    compared = 0
     for orig_layer, new_layer in zip(cache.blocks, layers):
+        assert len(orig_layer) == len(new_layer)
         for ob, nb in zip(orig_layer, new_layer):
             assert ob.k.bitwise_equal(nb.k) and ob.v.bitwise_equal(nb.v)
+        compared += 1
+    assert compared == spec.num_layers
+
+
+def test_merge_describes_the_pool_caches_without_copying(tmp_path):
+    spec = tiny_spec(block=8)
+    pool = pool_with_agents(tmp_path, spec, {"a": 5, "b": 17})
+    caches = [pool.get_cache("a"), pool.get_cache("b")]
+    batch = merge(caches, spec)
+    assert batch.agent_ids == ("a", "b")
+    assert all(row is cache for row, cache in zip(batch.caches, caches))
+    assert batch.layers == []  # no second copy of the K/V
+    k = [np.ones((2, 2, 1, 16), dtype=np.float32)] * spec.num_layers
+    v = [np.zeros((2, 2, 1, 16), dtype=np.float32)] * spec.num_layers
+    rows = update_and_fetch(batch, k, v, spec)
+    assert batch.valid_lens == [6, 18]
+    assert len(rows) == 2 and all(len(row) == spec.num_layers for row in rows)
+    assert rows[1][0][0].shape == (2, 1, 16)
+    assert np.shares_memory(rows[1][0][0], k[0])  # views, not copies
+    assert [c.token_count for c in caches] == [5, 17]  # the pool appends, not the batch
 
 
 def test_merge_rejects_bad_inputs(tmp_path):
@@ -126,7 +150,9 @@ def test_update_then_extract_equals_sequential_appends(tmp_path):
                     np.float32
                 )
             )
-        update_and_fetch(batch, per_layer_k, per_layer_v, spec)
+        rows = update_and_fetch(batch, per_layer_k, per_layer_v, spec)
+        for agent, kv in zip(("a", "b"), rows):
+            pool_a.append_tokens(agent, kv, [0], "zz", [0])
         steps.append((per_layer_k, per_layer_v))
     assert batch.valid_lens == [16, 11]
 
@@ -142,11 +168,14 @@ def test_update_then_extract_equals_sequential_appends(tmp_path):
     restored = extract(batch, spec)
     for row, agent in enumerate(("a", "b")):
         expected = pool_b.get_cache(agent)
+        compared = 0
         for orig_layer, new_layer in zip(expected.blocks, restored[row]):
             assert len(orig_layer) == len(new_layer)
             for ob, nb in zip(orig_layer, new_layer):
                 assert ob.k.bitwise_equal(nb.k)
                 assert ob.v.bitwise_equal(nb.v)
+            compared += 1
+        assert compared == spec.num_layers
 
 
 def test_update_appends_within_quantization_bound(tmp_path):
@@ -156,11 +185,11 @@ def test_update_appends_within_quantization_bound(tmp_path):
     rng = np.random.default_rng(5)
     k = [rng.uniform(-1, 1, (2, 2, 1, 16)).astype(np.float32)]
     v = [rng.uniform(-1, 1, (2, 2, 1, 16)).astype(np.float32)]
-    update_and_fetch(batch, k, v, spec)
-    sq = batch.layers[0]["k"]
+    for agent, kv in zip(("a", "b"), update_and_fetch(batch, k, v, spec)):
+        pool.append_tokens(agent, kv, [0], "zz", [0])
     from agentkv.codec import dequantize_array
 
-    recon = dequantize_array(sq.packed, sq.scales, sq.biases, sq.group_size)
+    recon = dequantize_array(*padded_side(batch, spec, 0, "k"), spec.group_size)
     appended = recon[:, :, -1, :]
     groups = k[0][:, :, 0, :].reshape(2, 2, 2, 8)
     scale = (groups.max(-1) - groups.min(-1)) / np.float32(15)
@@ -178,6 +207,7 @@ def test_update_shape_errors(tmp_path):
         update_and_fetch(batch, good_k[:1], good_v, spec)
     with pytest.raises(ShapeError):
         update_and_fetch(batch, [np.zeros((1, 2, 1, 8), dtype=np.float32)] * 2, good_v, spec)
+    assert batch.valid_lens == [4]  # a rejected step advances no row
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Scheduler tests: interleaving, reuse, fairness, determinism, accounting."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from agentkv import codec
+from agentkv import scheduler as scheduler_module
 from agentkv.block_pool import BlockPool
 from agentkv.codec import q4_bytes
 from agentkv.engine import SyntheticEngine
@@ -422,6 +427,75 @@ def test_save_all_empty_pool_no_events(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# decode keeps one copy of the cache and quantizes each token once
+
+
+def count_quantized_elements(monkeypatch):
+    """Patch ``quantize_array`` wherever agentkv bound it; returns the sizes seen."""
+    real = codec.quantize_array
+    seen = []
+
+    def counting(values, group_size):
+        seen.append(np.asarray(values).size)
+        return real(values, group_size)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("agentkv") and getattr(module, "quantize_array", None) is real:
+            monkeypatch.setattr(module, "quantize_array", counting)
+    return seen
+
+
+def test_decode_step_quantizes_each_new_token_once(tmp_path, monkeypatch):
+    spec, pool, _, sched = make_world(tmp_path, chunk_tokens=64)
+    transcripts = prime_agents(pool, sched, ("a", "b"), tokens=20)
+    # EXACT matches: every unit below is a decode step over both rows
+    sched.submit(Request("ra", "a", transcripts["a"], max_tokens=3))
+    sched.submit(Request("rb", "b", transcripts["b"], max_tokens=3))
+    seen = count_quantized_elements(monkeypatch)
+    assert spec.k_head_dim == spec.v_head_dim
+    per_token = 2 * spec.num_layers * spec.num_kv_heads * spec.k_head_dim  # 2·L·H·D
+    for _ in range(3):
+        seen.clear()
+        events = sched.step()
+        decoded = sum(e.kind in (EventKind.FIRST_TOKEN, EventKind.TOKEN) for e in events)
+        assert decoded == 2
+        assert sum(seen) == decoded * per_token
+    assert not sched.has_work()
+
+
+def decode_step_peak_bytes(tmp_path, context_tokens):
+    """tracemalloc peak of one steady-state decode step over two agents."""
+    spec = tiny_spec(layers=2, heads=4, k_dim=64, v_dim=64, block=16, group=16)
+    pool = BlockPool(spec, tmp_path, budget_bytes=1 << 34)
+    sched = Scheduler(pool, SyntheticEngine(spec, seed=3), chunk_tokens=512, max_batch=2)
+    for name in ("a", "b"):
+        sched.submit(Request(f"r{name}", name, prompt_of_tokens(context_tokens), max_tokens=16))
+    first_tokens = 0
+    while first_tokens < 2:  # both prefills done
+        first_tokens += sum(e.kind is EventKind.FIRST_TOKEN for e in sched.step())
+    sched.step()  # a batched decode step, so nothing first-time is measured
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = sched.step()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [(e.kind, e.request_id) for e in events] == [
+        (EventKind.TOKEN, "ra"), (EventKind.TOKEN, "rb")]
+    return peak
+
+
+def test_decode_step_memory_does_not_grow_with_context(tmp_path):
+    short = decode_step_peak_bytes(tmp_path / "short", 256)
+    long = decode_step_peak_bytes(tmp_path / "long", 2048)
+    # a copy of the batch's K/V would add 2 rows x 2048 tokens x 768 B;
+    # the one context-sized transient left is the transcript string
+    # (4 chars a token) that each row's append rebuilds
+    assert long <= short + 2 * 4 * 2048, (short, long)
+
+
+# ---------------------------------------------------------------------------
 # errors
 
 
@@ -430,6 +504,27 @@ def test_duplicate_request_id_rejected(tmp_path):
     sched.submit(Request("r1", "a", prompt_of_tokens(2), max_tokens=1))
     with pytest.raises(InvalidArgumentError):
         sched.submit(Request("r1", "b", prompt_of_tokens(2), max_tokens=1))
+
+
+def test_finished_ids_stay_refused_within_the_reuse_horizon(tmp_path, monkeypatch):
+    assert 1000 <= scheduler_module._FINISHED_IDS_KEPT <= 100_000
+    kept = 8  # the same code path as the real horizon, at a test's cost
+    monkeypatch.setattr(scheduler_module, "_FINISHED_IDS_KEPT", kept)
+    _, _, _, sched = make_world(tmp_path)
+    for i in range(kept + 10):
+        sched.submit(Request(f"r{i}", f"agent{i % 2}", prompt_of_tokens(1), max_tokens=1,
+                             persistent_cache_prefix=False))
+        if i % 2:
+            sched.run_until_idle()
+        assert len(sched._finished_ids) <= kept
+    sched.run_until_idle()
+    assert len(sched._finished_ids) == kept
+    newest = f"r{kept + 9}"
+    with pytest.raises(InvalidArgumentError):  # finished, inside the horizon
+        sched.submit(Request(newest, "c", prompt_of_tokens(1), max_tokens=1))
+    sched.submit(Request("r0", "c", prompt_of_tokens(1), max_tokens=1))  # aged out
+    with pytest.raises(InvalidArgumentError):  # in flight
+        sched.submit(Request("r0", "d", prompt_of_tokens(1), max_tokens=1))
 
 
 def test_inflight_agent_rejected(tmp_path):
@@ -464,33 +559,49 @@ def test_engine_failure_fails_only_that_request(tmp_path, monkeypatch):
     assert kinds(b_events) == [EventKind.FIRST_TOKEN, EventKind.TOKEN, EventKind.DONE]
 
 
-def test_append_failure_in_decode_fails_only_that_row(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fault", ["append_raises", "nan_kv"])
+def test_append_failure_in_decode_fails_only_that_row(tmp_path, monkeypatch, fault):
     _, pool, engine, sched = make_world(tmp_path, chunk_tokens=64, record=True)
     transcripts = prime_agents(pool, sched, ("a", "b"))
     engine.log.clear()
     sched.submit(Request("ra", "a", transcripts["a"], max_tokens=2))
     sched.submit(Request("rb", "b", transcripts["b"], max_tokens=2))
 
-    real = pool.append_tokens
+    if fault == "append_raises":
+        real = pool.append_tokens
 
-    def flaky(agent_id, *args, **kwargs):
-        if agent_id == "a":
-            raise PersistenceError("injected append fault")
-        return real(agent_id, *args, **kwargs)
+        def flaky(agent_id, *args, **kwargs):
+            if agent_id == "a":
+                raise PersistenceError("injected append fault")
+            return real(agent_id, *args, **kwargs)
 
-    monkeypatch.setattr(pool, "append_tokens", flaky)
+        monkeypatch.setattr(pool, "append_tokens", flaky)
+        message = "injected append fault"
+    else:
+        real_decode = engine.decode_step
+
+        def nan_in_row_a(batch):
+            token_ids, texts, new_k, new_v = real_decode(batch)
+            if "a" in batch.agent_ids:
+                new_v[-1][batch.agent_ids.index("a")] = np.nan
+            return token_ids, texts, new_k, new_v
+
+        monkeypatch.setattr(engine, "decode_step", nan_in_row_a)
+        message = "finite"
+    a_before = pool.get_cache("a").token_count
     events = sched.run_until_idle()
     assert engine.log[0] == ("decode", ("a", "b"))  # both rows in one batch
     a_events = events_for(events, "ra")
     assert kinds(a_events) == [EventKind.DONE]
-    assert "injected append fault" in a_events[0].payload["error"]
+    assert message in a_events[0].payload["error"]
+    assert pool.get_cache("a").token_count == a_before  # all-or-nothing append
     b_events = events_for(events, "rb")
     assert kinds(b_events) == [EventKind.FIRST_TOKEN, EventKind.TOKEN, EventKind.DONE]
     assert b_events[-1].payload["generated"] == 2
     assert "error" not in b_events[-1].payload
     assert not sched.has_work()
     # neither agent is left looking in flight
-    monkeypatch.setattr(pool, "append_tokens", real)
+    monkeypatch.undo()
     for name in ("a", "b"):
         sched.submit(Request(f"again-{name}", name, pool.get_cache(name).transcript_text, 1))
     assert len(done_payloads(sched.run_until_idle())) == 2
