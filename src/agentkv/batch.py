@@ -4,9 +4,10 @@ A ``BatchCache`` names the agents that one engine call decodes together:
 their ids, their valid lengths and their live ``AgentCache`` records,
 which hold the pool's own blocks. Nothing here copies, pads or quantizes
 K/V. ``merge`` validates the rows; ``update_and_fetch`` checks one
-step's new K/V, advances every row's length and splits the K/V into the
-per-row, per-layer pairs that ``BlockPool.append_tokens`` quantizes into
-each agent's blocks, so every token is stored once and quantized once.
+step's new K and V, one array each with every row and layer in it,
+advances every row's length by one token and hands back each row's
+(K, V) views, the pair that ``BlockPool.append_tokens`` quantizes into
+that agent's blocks, so every token is stored once and quantized once.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import AgentCache
+from .blocks import AgentCache, check_kv
 from .codec import quantize_array  # noqa: F401  (perfbench/tracer.py patches this name)
-from .errors import InvalidArgumentError, ShapeError, SpecMismatchError
+from .errors import InvalidArgumentError, SpecMismatchError
 from .model_spec import ModelCacheSpec, spec_fingerprint
 
 __all__ = ["BatchCache", "merge", "update_and_fetch"]
@@ -71,31 +72,16 @@ def merge(
 
 
 def update_and_fetch(
-    batch: BatchCache,
-    new_k: Sequence[np.ndarray],
-    new_v: Sequence[np.ndarray],
-    spec: ModelCacheSpec,
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Check one step's new K/V, advance every row and split it by row.
+    batch: BatchCache, new_k: np.ndarray, new_v: np.ndarray, spec: ModelCacheSpec
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Check one step's new K/V, advance every row by one token, split by row.
 
-    ``new_k``/``new_v`` hold one float32 array per layer, shaped
-    (batch, heads, t_new, k_head_dim) and (batch, heads, t_new, v_head_dim).
-    Returns, per row, one (K, V) pair per layer shaped (heads, t_new, dim):
-    views that ``BlockPool.append_tokens`` takes for that row's agent.
+    ``new_k``/``new_v`` are float32 arrays shaped
+    (batch, layers, kv_heads, 1, k_head_dim) and (..., v_head_dim).
+    Returns each row's (K, V) views, shaped (layers, kv_heads, 1, dim):
+    the pair ``BlockPool.append_tokens`` takes for that row's agent.
     A shape error leaves the batch unchanged.
     """
-    if len(new_k) != spec.num_layers or len(new_v) != spec.num_layers:
-        raise ShapeError(f"expected {spec.num_layers} per-layer K and V arrays")
-    new_k = [np.asarray(k) for k in new_k]
-    new_v = [np.asarray(v) for v in new_v]
-    first = new_k[0]
-    if first.ndim != 4 or first.shape[2] < 1:
-        raise ShapeError(f"K arrays must be (batch, heads, t_new >= 1, dim), got {first.shape}")
-    t_new = first.shape[2]
-    for layer, (k, v) in enumerate(zip(new_k, new_v)):
-        if k.shape != (batch.batch, spec.num_kv_heads, t_new, spec.k_head_dim):
-            raise ShapeError(f"layer {layer} K shape {k.shape} inconsistent")
-        if v.shape != (batch.batch, spec.num_kv_heads, t_new, spec.v_head_dim):
-            raise ShapeError(f"layer {layer} V shape {v.shape} inconsistent")
-    batch.valid_lens = [n + t_new for n in batch.valid_lens]
-    return [[(k[row], v[row]) for k, v in zip(new_k, new_v)] for row in range(batch.batch)]
+    check_kv((new_k, new_v), (batch.batch, spec.num_layers, spec.num_kv_heads, 1), spec)
+    batch.valid_lens = [n + 1 for n in batch.valid_lens]
+    return [(new_k[row], new_v[row]) for row in range(batch.batch)]

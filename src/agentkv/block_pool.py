@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import persistence
-from .blocks import AgentCache, CacheState, KVBlock
+from .blocks import AgentCache, CacheState, KVBlock, check_kv
 from .codec import concat_tokens, quantize_tensor, slice_tokens
 from .errors import (
     EvictionFailedError,
@@ -143,21 +143,23 @@ class BlockPool:
     def append_tokens(
         self,
         agent_id: str,
-        per_layer_kv: list[tuple[np.ndarray, np.ndarray]],
+        kv: tuple[np.ndarray, np.ndarray],
         new_token_ids: list[int],
         new_text: str,
         new_char_offsets: list[int] | None = None,
     ) -> int:
         """Quantize and append one chunk of K/V to an agent's blocks.
 
-        ``per_layer_kv`` holds one (K, V) float32 pair per layer with shapes
-        (kv_heads, t_new, k_head_dim) and (kv_heads, t_new, v_head_dim).
-        ``new_char_offsets`` are per-token offsets into ``new_text``
-        (defaults to all tokens starting at offset 0). Returns the agent's
-        total token count. Creates the agent when unknown; runs LRU
-        eviction before returning if the pool went over budget. A chunk that
-        fails to quantize leaves the agent's cache unchanged and registers no
-        new agent (a Warm agent is still reloaded, as by ``get_cache``).
+        ``kv`` is one (K, V) pair of float32 arrays shaped
+        (layers, kv_heads, t_new, k_head_dim) and
+        (layers, kv_heads, t_new, v_head_dim); any other argument raises
+        ShapeError. ``new_char_offsets`` are per-token offsets into
+        ``new_text`` (defaults to all tokens starting at offset 0). Returns
+        the agent's total token count. Creates the agent when unknown; runs
+        LRU eviction before returning if the pool went over budget. A chunk
+        that fails to quantize leaves the agent's cache unchanged and
+        registers no new agent (a Warm agent is still reloaded, as by
+        ``get_cache``).
         """
         with self.io_guard:
             spec = self.spec
@@ -166,17 +168,7 @@ class BlockPool:
                 new_char_offsets = [0] * t_new
             if len(new_char_offsets) != t_new:
                 raise ShapeError("new_char_offsets length must match new_token_ids")
-            if len(per_layer_kv) != spec.num_layers and not (
-                t_new == 0 and len(per_layer_kv) == 0
-            ):
-                raise ShapeError(
-                    f"expected {spec.num_layers} layer K/V pairs, got {len(per_layer_kv)}"
-                )
-            for layer, (k, v) in enumerate(per_layer_kv):
-                if k.shape != (spec.num_kv_heads, t_new, spec.k_head_dim):
-                    raise ShapeError(f"layer {layer} K shape {k.shape} inconsistent with spec")
-                if v.shape != (spec.num_kv_heads, t_new, spec.v_head_dim):
-                    raise ShapeError(f"layer {layer} V shape {v.shape} inconsistent with spec")
+            k, v = check_kv(kv, (spec.num_layers, spec.num_kv_heads, t_new), spec)
 
             if not _valid_agent_id(agent_id):
                 raise InvalidArgumentError(
@@ -192,35 +184,36 @@ class BlockPool:
                 )
             try:
                 if t_new:
-                    self._resident_bytes += self._append_chunk(cache, per_layer_kv)
-                    base_offset = len(cache.transcript_text)
+                    self._resident_bytes += self._append_chunk(cache, k, v)
+                    base_offset = cache.transcript_chars
                     cache.token_ids.extend(int(t) for t in new_token_ids)
                     cache.char_offsets.extend(base_offset + int(o) for o in new_char_offsets)
-                    cache.transcript_text += new_text
+                    cache.append_text(new_text)
                 self._touch(cache)
             finally:
                 self._evict_to_budget()  # a reload may have gone over budget
             return cache.token_count
 
-    def _append_chunk(self, cache: AgentCache, per_layer_kv) -> int:
+    def _append_chunk(self, cache: AgentCache, k: np.ndarray, v: np.ndarray) -> int:
         """Quantize and append every layer, or none. Returns bytes added.
 
         Quantizing one layer at a time bounds the transient memory to one
-        layer's quantized chunk; a layer that fails to quantize (non-finite
-        values) restores each layer's block count and tail block.
+        layer's quantized chunk (for 512 llama31-8b tokens, 14 MiB against
+        158 MiB for one call over K's layers). A layer that fails to quantize
+        (non-finite values) restores each layer's block count and tail block.
         """
         tails = [(len(b), b[-1].k, b[-1].v) if b else (0, None, None) for b in cache.blocks]
         added = 0
         try:
-            for layer, (k, v) in enumerate(per_layer_kv):
-                qk = quantize_tensor(np.asarray(k, dtype=np.float32), self.spec)
-                qv = quantize_tensor(np.asarray(v, dtype=np.float32), self.spec)
+            for layer in range(len(cache.blocks)):
+                qk = quantize_tensor(k[layer], self.spec)
+                qv = quantize_tensor(v[layer], self.spec)
                 added += self._append_layer(cache, layer, qk, qv)
         except BaseException:
-            for layer_blocks, (count, k, v) in zip(cache.blocks, tails):
+            for layer_blocks, (count, tail_k, tail_v) in zip(cache.blocks, tails):
                 del layer_blocks[count:]
                 if count:
-                    layer_blocks[-1].k, layer_blocks[-1].v = k, v
+                    layer_blocks[-1].k, layer_blocks[-1].v = tail_k, tail_v
             raise
         return added
 

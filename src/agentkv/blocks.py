@@ -3,18 +3,35 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .codec import QuantizedTensor
 from .errors import ShapeError
+from .model_spec import ModelCacheSpec
 
-__all__ = ["AgentCache", "CacheState", "KVBlock"]
+__all__ = ["AgentCache", "CacheState", "KVBlock", "check_kv"]
 
 
 class CacheState(enum.Enum):
     HOT = "hot"  # resident in memory
     WARM = "warm"  # persisted on disk only
     COLD = "cold"  # nonexistent; full prefill required
+
+
+def check_kv(kv, lead: tuple[int, ...], spec: ModelCacheSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``kv`` if it is a (K, V) tuple of arrays shaped ``lead`` + (dim,).
+
+    Raises ShapeError for anything else, a list of per-layer pairs included.
+    """
+    if not isinstance(kv, tuple) or len(kv) != 2:
+        raise ShapeError("K/V must be one (K, V) tuple of arrays")
+    for side, values, dim in zip("KV", kv, (spec.k_head_dim, spec.v_head_dim)):
+        if not isinstance(values, np.ndarray) or values.shape != (*lead, dim):
+            got = getattr(values, "shape", type(values).__name__)
+            raise ShapeError(f"{side} must be an array shaped {(*lead, dim)}, got {got}")
+    return kv
 
 
 @dataclass
@@ -45,20 +62,40 @@ class KVBlock:
         return self.k.nbytes + self.v.nbytes
 
 
-@dataclass
 class AgentCache:
     """One agent's cache: per-layer block lists plus transcript metadata.
 
     ``char_offsets[i]`` is the character offset in ``transcript_text`` where
-    token i begins. All layers hold the same total token count.
+    token i begins. All layers hold the same total token count. Appended
+    transcript text is kept as pieces and joined on the next read, so a
+    decoded token costs O(1) however long the transcript is.
     """
 
-    agent_id: str
-    spec_fingerprint: int
-    blocks: list[list[KVBlock]]
-    transcript_text: str = ""
-    token_ids: list[int] = field(default_factory=list)
-    char_offsets: list[int] = field(default_factory=list)
+    def __init__(self, agent_id: str, spec_fingerprint: int, blocks: list[list[KVBlock]],
+                 transcript_text: str = "", token_ids: list[int] | None = None,
+                 char_offsets: list[int] | None = None) -> None:
+        self.agent_id = agent_id
+        self.spec_fingerprint = spec_fingerprint
+        self.blocks = blocks
+        self.transcript_text = transcript_text
+        self.token_ids = [] if token_ids is None else token_ids
+        self.char_offsets = [] if char_offsets is None else char_offsets
+
+    @property
+    def transcript_text(self) -> str:
+        if len(self._text_pieces) > 1:
+            self._text_pieces[:] = ["".join(self._text_pieces)]
+        return self._text_pieces[0]
+
+    @transcript_text.setter
+    def transcript_text(self, text: str) -> None:
+        self._text_pieces = [text]
+        self.transcript_chars = len(text)
+
+    def append_text(self, text: str) -> None:
+        """Extend the transcript without rebuilding it."""
+        self._text_pieces.append(text)
+        self.transcript_chars += len(text)
 
     @property
     def token_count(self) -> int:

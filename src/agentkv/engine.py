@@ -24,8 +24,6 @@ from .model_spec import ModelCacheSpec
 
 __all__ = ["Engine", "EngineCounters", "SyntheticEngine"]
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; a cheap stateless position-addressable PRNG."""
@@ -61,21 +59,27 @@ class Engine(Protocol):
 
     def prefill_chunk(
         self, agent_id: str, token_ids: list[int], start_position: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (K, V) float32 tensors for one chunk of positions."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(K, V) float32 arrays for one chunk of positions.
+
+        K is shaped (layers, kv_heads, tokens, k_head_dim) and V
+        (layers, kv_heads, tokens, v_head_dim): the pair that
+        ``BlockPool.append_tokens`` takes.
+        """
 
     def decode_step(
         self, batch: BatchCache
-    ) -> tuple[list[int], list[str], list[np.ndarray], list[np.ndarray]]:
+    ) -> tuple[list[int], list[str], np.ndarray, np.ndarray]:
         """One batched decode step.
 
         Row ``r`` of the batch is agent ``batch.agent_ids[r]``, whose new
         token sits at position ``batch.valid_lens[r]``; ``batch.caches[r]``
         is that agent's quantized cache, the pool's live blocks, for an
         engine that attends over it (read-only). No dense or padded copy
-        is built. Returns (token_ids, token_texts, new_k, new_v) where
-        new_k/new_v hold one (batch, heads, 1, dim) float32 array per
-        layer; the scheduler appends each row to its agent's blocks.
+        is built. Returns (token_ids, token_texts, new_k, new_v): new_k is
+        one float32 array shaped (batch, layers, kv_heads, 1, k_head_dim)
+        and new_v (batch, layers, kv_heads, 1, v_head_dim); the scheduler
+        appends row ``r`` to its agent's blocks.
         """
 
 
@@ -126,41 +130,23 @@ class SyntheticEngine:
 
     # -- KV generation ------------------------------------------------------
 
-    def _values(
-        self, agent_id: str, layer: int, positions: np.ndarray, dim: int, tag: np.uint64
-    ) -> np.ndarray:
-        heads = self.spec.num_kv_heads
-        base = _splitmix64(
-            np.array(
-                [
-                    self.seed
-                    ^ _stable_hash64(agent_id)
-                    ^ (np.uint64(layer) << np.uint64(40))
-                    ^ tag
-                ],
-                dtype=np.uint64,
+    def _fill_kv(self, k: np.ndarray, v: np.ndarray, agent_id: str, positions: np.ndarray) -> None:
+        """Write one agent's K/V at ``positions`` into (layers, heads, t, dim) arrays."""
+        agent_hash = _stable_hash64(agent_id)
+        for out, tag in ((k, self._K_TAG), (v, self._V_TAG)):
+            heads, dim = out.shape[1], out.shape[3]
+            counters = (
+                positions.astype(np.uint64)[None, :, None] * np.uint64(heads * dim)
+                + np.arange(heads, dtype=np.uint64)[:, None, None] * np.uint64(dim)
+                + np.arange(dim, dtype=np.uint64)[None, None, :]
             )
-        )[0]
-        counters = (
-            positions.astype(np.uint64)[None, :, None] * np.uint64(heads * dim)
-            + np.arange(heads, dtype=np.uint64)[:, None, None] * np.uint64(dim)
-            + np.arange(dim, dtype=np.uint64)[None, None, :]
-        )
-        bits = _splitmix64(base + counters)
-        unit = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return (unit * 2.0 - 1.0).astype(np.float32)
-
-    def kv_for_positions(
-        self, agent_id: str, positions: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        spec = self.spec
-        return [
-            (
-                self._values(agent_id, layer, positions, spec.k_head_dim, self._K_TAG),
-                self._values(agent_id, layer, positions, spec.v_head_dim, self._V_TAG),
-            )
-            for layer in range(spec.num_layers)
-        ]
+            for layer in range(out.shape[0]):
+                base = _splitmix64(np.array(
+                    [self.seed ^ agent_hash ^ (np.uint64(layer) << np.uint64(40)) ^ tag],
+                    dtype=np.uint64,
+                ))[0]
+                bits = _splitmix64(base + counters)
+                out[layer] = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 * 2.0 - 1.0
 
     def _next_token(self, agent_id: str, position: int) -> int:
         mixed = _splitmix64(
@@ -186,40 +172,36 @@ class SyntheticEngine:
 
     def prefill_chunk(
         self, agent_id: str, token_ids: list[int], start_position: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         with self._exclusive():
             self.counters.prefill_calls += 1
             self.counters.prefill_tokens += len(token_ids)
+            spec = self.spec
             positions = np.arange(
                 start_position, start_position + len(token_ids), dtype=np.int64
             )
-            return self.kv_for_positions(agent_id, positions)
+            shape = (spec.num_layers, spec.num_kv_heads, len(token_ids))
+            k = np.empty((*shape, spec.k_head_dim), np.float32)
+            v = np.empty((*shape, spec.v_head_dim), np.float32)
+            self._fill_kv(k, v, agent_id, positions)
+            return k, v
 
     def decode_step(
         self, batch: BatchCache
-    ) -> tuple[list[int], list[str], list[np.ndarray], list[np.ndarray]]:
+    ) -> tuple[list[int], list[str], np.ndarray, np.ndarray]:
         with self._exclusive():
             self.counters.decode_steps += 1
             self.counters.decode_tokens += batch.batch
+            spec = self.spec
+            shape = (batch.batch, spec.num_layers, spec.num_kv_heads, 1)
+            new_k = np.empty((*shape, spec.k_head_dim), np.float32)
+            new_v = np.empty((*shape, spec.v_head_dim), np.float32)
             token_ids = []
             texts = []
-            per_row_kv = []
             for row, agent_id in enumerate(batch.agent_ids):
                 position = batch.valid_lens[row]  # the new token's index
                 token = self._next_token(agent_id, position)
                 token_ids.append(token)
                 texts.append(self.token_text(token))
-                per_row_kv.append(
-                    self.kv_for_positions(
-                        agent_id, np.array([position], dtype=np.int64)
-                    )
-                )
-            new_k = [
-                np.stack([per_row_kv[row][layer][0] for row in range(batch.batch)])
-                for layer in range(self.spec.num_layers)
-            ]
-            new_v = [
-                np.stack([per_row_kv[row][layer][1] for row in range(batch.batch)])
-                for layer in range(self.spec.num_layers)
-            ]
+                self._fill_kv(new_k[row], new_v[row], agent_id, np.array([position], np.int64))
             return token_ids, texts, new_k, new_v

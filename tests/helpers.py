@@ -36,18 +36,17 @@ def tiny_spec(
 
 
 def random_kv_chunk(spec: ModelCacheSpec, t_new: int, rng: np.random.Generator):
-    """One (K, V) float32 pair per layer with spec-consistent shapes."""
-    return [
-        (
-            rng.uniform(-1, 1, size=(spec.num_kv_heads, t_new, spec.k_head_dim)).astype(
-                np.float32
-            ),
-            rng.uniform(-1, 1, size=(spec.num_kv_heads, t_new, spec.v_head_dim)).astype(
-                np.float32
-            ),
-        )
-        for _ in range(spec.num_layers)
-    ]
+    """One (K, V) pair of float32 arrays shaped (layers, heads, t_new, dim).
+
+    Draws layer by layer, K before V, so a seed gives the values it gave
+    when chunks were lists of per-layer pairs.
+    """
+    k = np.empty((spec.num_layers, spec.num_kv_heads, t_new, spec.k_head_dim), np.float32)
+    v = np.empty((spec.num_layers, spec.num_kv_heads, t_new, spec.v_head_dim), np.float32)
+    for layer in range(spec.num_layers):
+        k[layer] = rng.uniform(-1, 1, size=k.shape[1:])
+        v[layer] = rng.uniform(-1, 1, size=v.shape[1:])
+    return k, v
 
 
 def append_random(pool, agent_id: str, t_new: int, rng: np.random.Generator, text=None):

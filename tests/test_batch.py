@@ -99,13 +99,13 @@ def test_merge_describes_the_pool_caches_without_copying(tmp_path):
     assert batch.agent_ids == ("a", "b")
     assert all(row is cache for row, cache in zip(batch.caches, caches))
     assert batch.layers == []  # no second copy of the K/V
-    k = [np.ones((2, 2, 1, 16), dtype=np.float32)] * spec.num_layers
-    v = [np.zeros((2, 2, 1, 16), dtype=np.float32)] * spec.num_layers
+    k = np.ones((2, spec.num_layers, 2, 1, 16), dtype=np.float32)
+    v = np.zeros((2, spec.num_layers, 2, 1, 16), dtype=np.float32)
     rows = update_and_fetch(batch, k, v, spec)
     assert batch.valid_lens == [6, 18]
-    assert len(rows) == 2 and all(len(row) == spec.num_layers for row in rows)
-    assert rows[1][0][0].shape == (2, 1, 16)
-    assert np.shares_memory(rows[1][0][0], k[0])  # views, not copies
+    assert len(rows) == 2 and all(len(row) == 2 for row in rows)  # one (K, V) per row
+    assert rows[1][0].shape == rows[1][1].shape == (spec.num_layers, 2, 1, 16)
+    assert np.shares_memory(rows[1][0], k) and np.shares_memory(rows[1][1], v)  # views
     assert [c.token_count for c in caches] == [5, 17]  # the pool appends, not the batch
 
 
@@ -137,33 +137,21 @@ def test_update_then_extract_equals_sequential_appends(tmp_path):
     batch = merge([pool_a.get_cache("a"), pool_a.get_cache("b")], spec)
     steps = []
     for _ in range(5):  # five single-token decode steps
-        per_layer_k = []
-        per_layer_v = []
-        for _layer in range(spec.num_layers):
-            per_layer_k.append(
-                rng.uniform(-1, 1, (2, spec.num_kv_heads, 1, spec.k_head_dim)).astype(
-                    np.float32
-                )
-            )
-            per_layer_v.append(
-                rng.uniform(-1, 1, (2, spec.num_kv_heads, 1, spec.v_head_dim)).astype(
-                    np.float32
-                )
-            )
-        rows = update_and_fetch(batch, per_layer_k, per_layer_v, spec)
+        k = np.empty((2, spec.num_layers, spec.num_kv_heads, 1, spec.k_head_dim), np.float32)
+        v = np.empty((2, spec.num_layers, spec.num_kv_heads, 1, spec.v_head_dim), np.float32)
+        for layer in range(spec.num_layers):  # the draw order of per-layer lists
+            k[:, layer] = rng.uniform(-1, 1, (2, spec.num_kv_heads, 1, spec.k_head_dim))
+            v[:, layer] = rng.uniform(-1, 1, (2, spec.num_kv_heads, 1, spec.v_head_dim))
+        rows = update_and_fetch(batch, k, v, spec)
         for agent, kv in zip(("a", "b"), rows):
             pool_a.append_tokens(agent, kv, [0], "zz", [0])
-        steps.append((per_layer_k, per_layer_v))
+        steps.append((k, v))
     assert batch.valid_lens == [16, 11]
 
     # replay the same tokens as plain per-agent appends
-    for per_layer_k, per_layer_v in steps:
+    for k, v in steps:
         for row, agent in enumerate(("a", "b")):
-            kv = [
-                (per_layer_k[layer][row], per_layer_v[layer][row])
-                for layer in range(spec.num_layers)
-            ]
-            pool_b.append_tokens(agent, kv, [0], "zz", [0])
+            pool_b.append_tokens(agent, (k[row].copy(), v[row].copy()), [0], "zz", [0])
 
     restored = extract(batch, spec)
     for row, agent in enumerate(("a", "b")):
@@ -183,17 +171,18 @@ def test_update_appends_within_quantization_bound(tmp_path):
     pool = pool_with_agents(tmp_path, spec, {"a": 3, "b": 8})
     batch = merge([pool.get_cache("a"), pool.get_cache("b")], spec)
     rng = np.random.default_rng(5)
-    k = [rng.uniform(-1, 1, (2, 2, 1, 16)).astype(np.float32)]
-    v = [rng.uniform(-1, 1, (2, 2, 1, 16)).astype(np.float32)]
+    k = rng.uniform(-1, 1, (2, 1, 2, 1, 16)).astype(np.float32)
+    v = rng.uniform(-1, 1, (2, 1, 2, 1, 16)).astype(np.float32)
     for agent, kv in zip(("a", "b"), update_and_fetch(batch, k, v, spec)):
         pool.append_tokens(agent, kv, [0], "zz", [0])
     from agentkv.codec import dequantize_array
 
     recon = dequantize_array(*padded_side(batch, spec, 0, "k"), spec.group_size)
     appended = recon[:, :, -1, :]
-    groups = k[0][:, :, 0, :].reshape(2, 2, 2, 8)
+    layer0 = k[:, 0, :, 0, :]  # (rows, heads, dim)
+    groups = layer0.reshape(2, 2, 2, 8)
     scale = (groups.max(-1) - groups.min(-1)) / np.float32(15)
-    err = np.abs(appended - k[0][:, :, 0, :]).reshape(2, 2, 2, 8).max(-1)
+    err = np.abs(appended - layer0).reshape(2, 2, 2, 8).max(-1)
     assert np.all(err <= 0.5 * scale * (1 + 2.0 ** -7) + 1e-12)
 
 
@@ -201,12 +190,17 @@ def test_update_shape_errors(tmp_path):
     spec = tiny_spec(layers=2, block=8)
     pool = pool_with_agents(tmp_path, spec, {"a": 4})
     batch = merge([pool.get_cache("a")], spec)
-    good_k = [np.zeros((1, 2, 1, 16), dtype=np.float32)] * 2
-    good_v = [np.zeros((1, 2, 1, 16), dtype=np.float32)] * 2
-    with pytest.raises(ShapeError):
-        update_and_fetch(batch, good_k[:1], good_v, spec)
-    with pytest.raises(ShapeError):
-        update_and_fetch(batch, [np.zeros((1, 2, 1, 8), dtype=np.float32)] * 2, good_v, spec)
+    good_k = np.zeros((1, 2, 2, 1, 16), dtype=np.float32)
+    good_v = np.zeros((1, 2, 2, 1, 16), dtype=np.float32)
+    for k, v in (
+        (good_k[:, :1], good_v),  # one layer short
+        (good_k[..., :8], good_v),  # K head dim
+        (good_k, np.zeros((1, 2, 2, 2, 16), np.float32)),  # two tokens a row
+        (list(good_k[0]), good_v),  # a per-layer list
+        (good_k[0], good_v[0]),  # no row axis
+    ):
+        with pytest.raises(ShapeError):
+            update_and_fetch(batch, k, v, spec)
     assert batch.valid_lens == [4]  # a rejected step advances no row
 
 
@@ -264,7 +258,7 @@ def test_mask_rejects_q_longer_than_k():
 def test_single_token_single_head_returns_value():
     spec = tiny_spec(layers=1, heads=1, k_dim=8, v_dim=8, block=8, group=8)
     pool = BlockPool(spec, "unused", budget_bytes=1 << 30)
-    kv = [(np.ones((1, 1, 8), np.float32), np.full((1, 1, 8), 3.25, np.float32))]
+    kv = (np.ones((1, 1, 1, 8), np.float32), np.full((1, 1, 1, 8), 3.25, np.float32))
     pool.append_tokens("a", kv, [1], "x", [0])
     batch = merge([pool.get_cache("a")], spec)
     q = np.ones((1, 1, 1, 8), dtype=np.float32)

@@ -63,10 +63,8 @@ def test_refill_is_bit_identical_to_single_append(tmp_path):
     rng = np.random.default_rng(3)
     kv_a = random_kv_chunk(spec, 5, rng)
     kv_b = random_kv_chunk(spec, 7, rng)
-    joined = [
-        (np.concatenate([ka, kb], axis=1), np.concatenate([va, vb], axis=1))
-        for (ka, va), (kb, vb) in zip(kv_a, kv_b)
-    ]
+    joined = (np.concatenate([kv_a[0], kv_b[0]], axis=2),
+              np.concatenate([kv_a[1], kv_b[1]], axis=2))  # the token axis
     p1 = BlockPool(spec, tmp_path / "p1", budget_bytes=1 << 30)
     p2 = BlockPool(spec, tmp_path / "p2", budget_bytes=1 << 30)
     p1.append_tokens("a", kv_a, list(range(5)), "aaaaa", list(range(5)))
@@ -78,14 +76,29 @@ def test_refill_is_bit_identical_to_single_append(tmp_path):
 
 def test_shape_mismatch_rejected(pool):
     rng = np.random.default_rng(4)
-    kv = random_kv_chunk(pool.spec, 4, rng)
-    bad = [(k[:, :, :8], v) for k, v in kv]
+    append_random(pool, "a", 3, rng)
+    before = cache_checksum(pool.get_cache("a"))
+    resident = pool.stats().resident_bytes
+    k, v = random_kv_chunk(pool.spec, 4, rng)
+    assert pool.spec.num_layers == 2 and pool.spec.k_head_dim == pool.spec.v_head_dim
+    # a legacy list of per-layer pairs: with 2 layers and k_dim == v_dim,
+    # np.asarray of its first pair would pass for a (2, heads, t, dim) K
+    legacy = [(k[0], v[0]), (k[1], v[1])]
+    for bad in (
+        (k[..., :8], v),  # K head dim
+        (k, v[:1]),  # V layers
+        (k.tolist(), v),  # not an array
+        legacy,
+        tuple(legacy),
+        (k, v, v),
+    ):
+        with pytest.raises(ShapeError):
+            pool.append_tokens("a", bad, [1, 2, 3, 4], "text")
     with pytest.raises(ShapeError):
-        pool.append_tokens("a", bad, [1, 2, 3, 4], "text")
-    with pytest.raises(ShapeError):
-        pool.append_tokens("a", kv[:-1], [1, 2, 3, 4], "text")
-    with pytest.raises(ShapeError):
-        pool.append_tokens("a", kv, [1, 2, 3], "text")  # t_new mismatch
+        pool.append_tokens("a", (k, v), [1, 2, 3], "text")  # t_new mismatch
+    assert cache_checksum(pool.get_cache("a")) == before
+    assert pool.get_cache("a").token_count == 3
+    assert pool.stats().resident_bytes == resident
 
 
 def test_get_unknown_agent_raises(pool):
@@ -274,7 +287,7 @@ def test_failed_append_leaves_cache_and_budget_unchanged(tmp_path):
     before = cache_checksum(pool.get_cache("a"))
     resident = pool.stats().resident_bytes
     kv = random_kv_chunk(pool.spec, 2, rng)
-    kv[1][0][0, 0, 0] = np.nan  # layer 1 K: layer 0 quantizes fine first
+    kv[0][1, 0, 0, 0] = np.nan  # layer 1 K: layer 0 quantizes fine first
     with pytest.raises(InvalidValueError):
         pool.append_tokens("a", kv, [1, 2], "bbbb", [0, 2])
     cache = pool.get_cache("a")
@@ -288,12 +301,31 @@ def test_failed_append_leaves_cache_and_budget_unchanged(tmp_path):
 def test_failed_first_append_registers_nothing(tmp_path):
     pool = big_pool(tmp_path, 1 << 30)
     kv = random_kv_chunk(pool.spec, 2, np.random.default_rng(20))
-    kv[0][1][0, 0, 0] = np.inf
+    kv[1][0, 0, 0, 0] = np.inf  # layer 0 V
     with pytest.raises(InvalidValueError):
         pool.append_tokens("a", kv, [1, 2], "bbbb", [0, 2])
     assert pool.known_agents() == []
     assert pool.agent_state("a") is CacheState.COLD
     assert pool.evict_lru() is None
+
+
+def test_append_quantizes_one_layer_at_a_time(tmp_path):
+    # one quantize call per side over every layer holds every layer's
+    # float transients at once: about 21 layers' worth here, against
+    # under 5 (2.3 of them the kept Q4 blocks) layer by layer
+    spec = tiny_spec(layers=8, heads=8, k_dim=128, v_dim=128, block=256, group=64)
+    pool = BlockPool(spec, tmp_path, budget_bytes=1 << 34)
+    kv = random_kv_chunk(spec, 512, np.random.default_rng(24))
+    layer_bytes = kv[0][0].nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pool.append_tokens("a", kv, list(range(512)), "x" * 512)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert pool.get_cache("a").token_count == 512
+    assert peak < 8 * layer_bytes, peak / layer_bytes
 
 
 def test_drop_clears_an_agent_with_a_corrupt_sidecar(tmp_path):

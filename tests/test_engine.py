@@ -26,36 +26,43 @@ def test_tokenize_deterministic_and_content_sensitive():
     assert a1 != b
 
 
+def test_prefill_chunk_returns_one_stacked_k_and_v():
+    spec = tiny_spec(layers=3, heads=2, k_dim=16, v_dim=8, group=8)
+    k, v = SyntheticEngine(spec, seed=3).prefill_chunk("agent", list(range(5)), 0)
+    assert k.shape == (3, 2, 5, 16) and k.dtype == np.float32
+    assert v.shape == (3, 2, 5, 8) and v.dtype == np.float32
+
+
 def test_kv_independent_of_chunk_boundaries():
     spec = tiny_spec(layers=2)
     engine = SyntheticEngine(spec, seed=3)
-    whole = engine.prefill_chunk("agent", list(range(12)), 0)
-    first = engine.prefill_chunk("agent", list(range(5)), 0)
-    rest = engine.prefill_chunk("agent", list(range(7)), 5)
+    whole_k, whole_v = engine.prefill_chunk("agent", list(range(12)), 0)
+    first_k, first_v = engine.prefill_chunk("agent", list(range(5)), 0)
+    rest_k, rest_v = engine.prefill_chunk("agent", list(range(7)), 5)
     for layer in range(spec.num_layers):
-        k_joined = np.concatenate([first[layer][0], rest[layer][0]], axis=1)
-        v_joined = np.concatenate([first[layer][1], rest[layer][1]], axis=1)
-        assert np.array_equal(whole[layer][0], k_joined)
-        assert np.array_equal(whole[layer][1], v_joined)
+        k_joined = np.concatenate([first_k[layer], rest_k[layer]], axis=1)
+        v_joined = np.concatenate([first_v[layer], rest_v[layer]], axis=1)
+        assert np.array_equal(whole_k[layer], k_joined)
+        assert np.array_equal(whole_v[layer], v_joined)
 
 
 def test_kv_differs_between_agents_layers_and_positions():
     spec = tiny_spec(layers=2)
     engine = SyntheticEngine(spec, seed=3)
-    a = engine.prefill_chunk("alice", [0], 0)
-    b = engine.prefill_chunk("bob", [0], 0)
-    assert not np.array_equal(a[0][0], b[0][0])
-    assert not np.array_equal(a[0][0], a[1][0])  # layers differ
-    a_next = engine.prefill_chunk("alice", [0], 1)
-    assert not np.array_equal(a[0][0], a_next[0][0])  # positions differ
+    a_k, a_v = engine.prefill_chunk("alice", [0], 0)
+    b_k, _ = engine.prefill_chunk("bob", [0], 0)
+    assert not np.array_equal(a_k[0], b_k[0])
+    assert not np.array_equal(a_k[0], a_k[1])  # layers differ
+    assert not np.array_equal(a_k[0], a_v[0])  # K and V differ
+    a_next_k, _ = engine.prefill_chunk("alice", [0], 1)
+    assert not np.array_equal(a_k[0], a_next_k[0])  # positions differ
 
 
 def test_values_are_bounded():
     spec = tiny_spec()
     engine = SyntheticEngine(spec, seed=1)
-    kv = engine.prefill_chunk("x", list(range(64)), 0)
-    for k, v in kv:
-        assert np.all(np.abs(k) < 1.0) and np.all(np.abs(v) < 1.0)
+    k, v = engine.prefill_chunk("x", list(range(64)), 0)
+    assert np.all(np.abs(k) < 1.0) and np.all(np.abs(v) < 1.0)
 
 
 def test_token_text_matches_tokenizer_width():
@@ -65,19 +72,25 @@ def test_token_text_matches_tokenizer_width():
 
 
 def test_decode_step_positions_follow_batch_lengths(tmp_path):
-    spec = tiny_spec(layers=2)
+    spec = tiny_spec(layers=2, k_dim=16, v_dim=8, group=8)
     pool = BlockPool(spec, tmp_path, budget_bytes=1 << 30)
     rng = np.random.default_rng(0)
     append_random(pool, "a", 4, rng)
     append_random(pool, "b", 9, rng)
     engine = SyntheticEngine(spec, seed=5)
     batch = merge([pool.get_cache("a"), pool.get_cache("b")], spec)
-    ids1, _, _, _ = engine.decode_step(batch)
+    ids1, _, new_k, new_v = engine.decode_step(batch)
+    assert new_k.shape == (2, 2, 2, 1, 16) and new_k.dtype == np.float32
+    assert new_v.shape == (2, 2, 2, 1, 8) and new_v.dtype == np.float32
     # same lengths -> same next positions -> same tokens on a fresh engine
     ids2, _, _, _ = SyntheticEngine(spec, seed=5).decode_step(batch)
     assert ids1 == ids2
     assert ids1[0] == engine._next_token("a", 4)
     assert ids1[1] == engine._next_token("b", 9)
+    # row r holds what a one-token prefill at its position gives
+    for row, (agent, position) in enumerate((("a", 4), ("b", 9))):
+        k, v = engine.prefill_chunk(agent, [0], position)
+        assert np.array_equal(new_k[row], k) and np.array_equal(new_v[row], v)
 
 
 def test_reentrancy_detector_fires_on_nested_entry():

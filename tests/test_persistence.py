@@ -19,7 +19,7 @@ from agentkv.persistence import (
     save_agent,
 )
 
-from .helpers import append_random, cache_checksum, tiny_spec
+from .helpers import append_random, cache_checksum, random_kv_chunk, tiny_spec
 
 
 def build_cache(tmp_path, spec, tokens, seed=0, agent="a"):
@@ -28,7 +28,7 @@ def build_cache(tmp_path, spec, tokens, seed=0, agent="a"):
     if tokens:
         append_random(pool, agent, tokens, rng)
     else:
-        pool.append_tokens(agent, [], [], "")  # create empty agent
+        pool.append_tokens(agent, random_kv_chunk(spec, 0, rng), [], "")  # an empty agent
     return pool, pool.get_cache(agent)
 
 
@@ -509,12 +509,13 @@ def _pinned_deepseek_cache(directory):
         values = ((i * 7919 + salt * 104729) % 1001) / 1000.0 - 0.5
         return values.astype(np.float32).reshape(heads, tokens, dim)
 
-    kv = [
-        (lattice(spec.k_head_dim, 2 * layer), lattice(spec.v_head_dim, 2 * layer + 1))
-        for layer in range(spec.num_layers)
-    ]
+    k = np.empty((spec.num_layers, heads, tokens, spec.k_head_dim), np.float32)
+    v = np.empty((spec.num_layers, heads, tokens, spec.v_head_dim), np.float32)
+    for layer in range(spec.num_layers):
+        k[layer] = lattice(spec.k_head_dim, 2 * layer)
+        v[layer] = lattice(spec.v_head_dim, 2 * layer + 1)
     ids = [(t * 7919) % 50_000 for t in range(tokens)]
-    pool.append_tokens("pin", kv, ids, "aé" * tokens, [2 * t for t in range(tokens)])
+    pool.append_tokens("pin", (k, v), ids, "aé" * tokens, [2 * t for t in range(tokens)])
     return spec, pool.get_cache("pin")
 
 

@@ -36,22 +36,22 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 class Content(NamedTuple):
-    """What an agent's cache should hold: its tokens and float K/V per layer."""
+    """What an agent's cache should hold: its tokens and its float (K, V).
+
+    K and V are each shaped (layers, heads, tokens, dim).
+    """
 
     token_ids: tuple[int, ...]
     text: str
     offsets: tuple[int, ...]
-    kv: tuple[tuple[np.ndarray, np.ndarray], ...]
+    kv: tuple[np.ndarray, np.ndarray]
 
     def extend(self, chunk: Content) -> Content:
         return Content(
             self.token_ids + chunk.token_ids,
             self.text + chunk.text,
             self.offsets + tuple(len(self.text) + o for o in chunk.offsets),
-            tuple(
-                (np.concatenate([k, ck], axis=1), np.concatenate([v, cv], axis=1))
-                for (k, v), (ck, cv) in zip(self.kv, chunk.kv)
-            ),
+            tuple(np.concatenate(pair, axis=2) for pair in zip(self.kv, chunk.kv)),
         )
 
     def truncate(self, keep: int) -> Content:
@@ -61,16 +61,16 @@ class Content(NamedTuple):
             self.token_ids[:keep],
             self.text[: self.offsets[keep]] if keep else "",
             self.offsets[:keep],
-            tuple((k[:, :keep], v[:, :keep]) for k, v in self.kv),
+            tuple(side[:, :, :keep] for side in self.kv),
         )
 
 
-EMPTY = Content((), "", (), tuple(random_kv_chunk(SPEC, 0, np.random.default_rng(0))))
+EMPTY = Content((), "", (), random_kv_chunk(SPEC, 0, np.random.default_rng(0)))
 
 
 def make_chunk(tokens: int, seed: int) -> Content:
     rng = np.random.default_rng(seed)
-    kv = tuple(random_kv_chunk(SPEC, tokens, rng))
+    kv = random_kv_chunk(SPEC, tokens, rng)
     widths = rng.integers(1, 4, size=tokens)
     text = "".join(chr(97 + int(c)) for c in rng.integers(0, 26, size=int(widths.sum())))
     offsets = tuple(int(o) for o in np.cumsum(widths) - widths)
@@ -83,7 +83,7 @@ def assert_holds(cache: AgentCache, content: Content) -> None:
     assert cache.token_ids == list(content.token_ids)
     assert cache.char_offsets == list(content.offsets)
     assert cache.transcript_text == content.text
-    for blocks, (k, v) in zip(cache.blocks, content.kv):
+    for blocks, k, v in zip(cache.blocks, *content.kv):
         if not blocks:
             assert not content.token_ids
             continue
@@ -139,7 +139,7 @@ class PoolMachine(RuleBasedStateMachine):
     def append(self, agent, tokens, seed):
         chunk = make_chunk(tokens, seed)
         total = self.pool.append_tokens(
-            agent, list(chunk.kv), list(chunk.token_ids), chunk.text, list(chunk.offsets)
+            agent, chunk.kv, list(chunk.token_ids), chunk.text, list(chunk.offsets)
         )
         base = self._resident(agent) if self._known(agent) else EMPTY
         self._touch(agent, base.extend(chunk))
@@ -149,10 +149,10 @@ class PoolMachine(RuleBasedStateMachine):
     @rule(agent=agent_ids, seed=seeds)
     def append_non_finite(self, agent, seed):
         chunk = make_chunk(3, seed)
-        chunk.kv[-1][0][0, 1, 2] = np.nan
+        chunk.kv[0][-1, 0, 1, 2] = np.nan  # last layer's K
         with pytest.raises(InvalidValueError):
             self.pool.append_tokens(
-                agent, list(chunk.kv), list(chunk.token_ids), chunk.text, list(chunk.offsets)
+                agent, chunk.kv, list(chunk.token_ids), chunk.text, list(chunk.offsets)
             )
         # contents stay; a Warm agent is reloaded first, as by get_cache
         if self._known(agent):
