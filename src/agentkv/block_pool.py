@@ -4,14 +4,15 @@ The pool owns every resident agent cache. Appends quantize incoming
 float32 K/V tensors and pack them into fixed-size blocks; when resident
 bytes exceed the budget, least-recently-used agents are persisted to disk
 and dropped from memory (Hot -> Warm); an evicted agent leaves only its
-id behind. Reads transparently reload Warm agents. All public operations
-run under one reentrant guard, mirroring the single-lane constraint of
-the serving layer; disk writes triggered by eviction hold the same guard.
+id behind. Reads transparently reload Warm agents.
+
+A pool has one owner: a single thread calls every method, so the pool
+takes no lock. In the daemon that thread is the lane that also runs the
+scheduler and the engine; eviction saves and reloads run on it too.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -77,8 +78,6 @@ class BlockPool:
         self._evictions = 0
         self._reloads = 0
         self._on_event: Callable[[str, str, int], None] | None = None
-        # reentrant: eviction-triggered saves run under the same guard
-        self.io_guard = threading.RLock()
 
     def set_event_sink(self, on_event: Callable[[str, str, int], None] | None) -> None:
         """Wire an observer for saved/loaded/evicted notifications."""
@@ -161,38 +160,37 @@ class BlockPool:
         registers no new agent (a Warm agent is still reloaded, as by
         ``get_cache``).
         """
-        with self.io_guard:
-            spec = self.spec
-            t_new = len(new_token_ids)
-            if new_char_offsets is None:
-                new_char_offsets = [0] * t_new
-            if len(new_char_offsets) != t_new:
-                raise ShapeError("new_char_offsets length must match new_token_ids")
-            k, v = check_kv(kv, (spec.num_layers, spec.num_kv_heads, t_new), spec)
+        spec = self.spec
+        t_new = len(new_token_ids)
+        if new_char_offsets is None:
+            new_char_offsets = [0] * t_new
+        if len(new_char_offsets) != t_new:
+            raise ShapeError("new_char_offsets length must match new_token_ids")
+        k, v = check_kv(kv, (spec.num_layers, spec.num_kv_heads, t_new), spec)
 
-            if not _valid_agent_id(agent_id):
-                raise InvalidArgumentError(
-                    f"agent id {agent_id!r} must be non-empty and use only [A-Za-z0-9._-]"
-                )
-            try:
-                cache = self._ensure_resident(agent_id)
-            except NotFoundError:  # registered only once the chunk is in
-                cache = AgentCache(
-                    agent_id=agent_id,
-                    spec_fingerprint=self.fingerprint,
-                    blocks=[[] for _ in range(spec.num_layers)],
-                )
-            try:
-                if t_new:
-                    self._resident_bytes += self._append_chunk(cache, k, v)
-                    base_offset = cache.transcript_chars
-                    cache.token_ids.extend(int(t) for t in new_token_ids)
-                    cache.char_offsets.extend(base_offset + int(o) for o in new_char_offsets)
-                    cache.append_text(new_text)
-                self._touch(cache)
-            finally:
-                self._evict_to_budget()  # a reload may have gone over budget
-            return cache.token_count
+        if not _valid_agent_id(agent_id):
+            raise InvalidArgumentError(
+                f"agent id {agent_id!r} must be non-empty and use only [A-Za-z0-9._-]"
+            )
+        try:
+            cache = self._ensure_resident(agent_id)
+        except NotFoundError:  # registered only once the chunk is in
+            cache = AgentCache(
+                agent_id=agent_id,
+                spec_fingerprint=self.fingerprint,
+                blocks=[[] for _ in range(spec.num_layers)],
+            )
+        try:
+            if t_new:
+                self._resident_bytes += self._append_chunk(cache, k, v)
+                base_offset = cache.transcript_chars
+                cache.token_ids.extend(int(t) for t in new_token_ids)
+                cache.char_offsets.extend(base_offset + int(o) for o in new_char_offsets)
+                cache.append_text(new_text)
+            self._touch(cache)
+        finally:
+            self._evict_to_budget()  # a reload may have gone over budget
+        return cache.token_count
 
     def _append_chunk(self, cache: AgentCache, k: np.ndarray, v: np.ndarray) -> int:
         """Quantize and append every layer, or none. Returns bytes added.
@@ -249,42 +247,39 @@ class BlockPool:
         The returned object is the pool's live record: treat it as a
         read-only view and mutate only through pool operations.
         """
-        with self.io_guard:
-            cache = self._ensure_resident(agent_id)
-            self._touch(cache)
-            self._evict_to_budget()
-            return cache
+        cache = self._ensure_resident(agent_id)
+        self._touch(cache)
+        self._evict_to_budget()
+        return cache
 
     def evict_lru(self) -> str | None:
         """Persist and drop the least-recently-used Hot agent."""
-        with self.io_guard:
-            if not self._hot:
-                return None
-            victim = next(iter(self._hot.values()))
-            try:
-                self._save(victim)
-            except PersistenceError as exc:
-                raise EvictionFailedError(
-                    f"could not persist {victim.agent_id!r}: {exc}"
-                ) from exc
-            freed = victim.nbytes
-            self._emit(_EVENT_SAVED, victim.agent_id, freed)
-            del self._hot[victim.agent_id]
-            self._warm.add(victim.agent_id)
-            self._resident_bytes -= freed
-            self._evictions += 1
-            self._emit(_EVENT_EVICTED, victim.agent_id, freed)
-            return victim.agent_id
+        if not self._hot:
+            return None
+        victim = next(iter(self._hot.values()))
+        try:
+            self._save(victim)
+        except PersistenceError as exc:
+            raise EvictionFailedError(
+                f"could not persist {victim.agent_id!r}: {exc}"
+            ) from exc
+        freed = victim.nbytes
+        self._emit(_EVENT_SAVED, victim.agent_id, freed)
+        del self._hot[victim.agent_id]
+        self._warm.add(victim.agent_id)
+        self._resident_bytes -= freed
+        self._evictions += 1
+        self._emit(_EVENT_EVICTED, victim.agent_id, freed)
+        return victim.agent_id
 
     def save_agent(self, agent_id: str) -> persistence.CacheFilePair:
         """Persist a Hot agent without evicting it."""
-        with self.io_guard:
-            cache = self._hot.get(agent_id)
-            if cache is None:
-                raise NotFoundError(f"agent {agent_id!r} is not resident")
-            pair = self._save(cache)
-            self._emit(_EVENT_SAVED, agent_id, cache.nbytes)
-            return pair
+        cache = self._hot.get(agent_id)
+        if cache is None:
+            raise NotFoundError(f"agent {agent_id!r} is not resident")
+        pair = self._save(cache)
+        self._emit(_EVENT_SAVED, agent_id, cache.nbytes)
+        return pair
 
     def drop_agent(self, agent_id: str, delete_disk: bool = False) -> None:
         """Free an agent's resident blocks and registry entry.
@@ -292,67 +287,61 @@ class BlockPool:
         Without ``delete_disk`` the persisted files survive, so a later
         ``get_cache`` reloads the agent from disk (Cold -> Hot).
         """
-        with self.io_guard:
-            cache = self._hot.pop(agent_id, None)
-            if cache is None and agent_id not in self._warm and not self._on_disk(agent_id):
-                raise NotFoundError(f"unknown agent {agent_id!r}")
-            if cache is not None:
-                self._resident_bytes -= cache.nbytes
-            self._warm.discard(agent_id)
-            if delete_disk:
-                persistence.remove_agent_files(self.cache_dir, agent_id)
+        cache = self._hot.pop(agent_id, None)
+        if cache is None and agent_id not in self._warm and not self._on_disk(agent_id):
+            raise NotFoundError(f"unknown agent {agent_id!r}")
+        if cache is not None:
+            self._resident_bytes -= cache.nbytes
+        self._warm.discard(agent_id)
+        if delete_disk:
+            persistence.remove_agent_files(self.cache_dir, agent_id)
 
     def truncate_agent(self, agent_id: str, keep_tokens: int) -> None:
         """Drop cache content beyond ``keep_tokens`` (a whole-block multiple)."""
-        with self.io_guard:
-            if keep_tokens % self.spec.block_tokens != 0:
-                raise InvalidArgumentError(
-                    f"keep_tokens ({keep_tokens}) must be a multiple of "
-                    f"block_tokens ({self.spec.block_tokens})"
-                )
-            cache = self._ensure_resident(agent_id)
-            try:
-                if keep_tokens > cache.token_count:
-                    raise InvalidArgumentError("cannot truncate beyond the cached token count")
-                if keep_tokens < cache.token_count:
-                    keep_blocks = keep_tokens // self.spec.block_tokens
-                    for layer_blocks in cache.blocks:
-                        for block in layer_blocks[keep_blocks:]:
-                            self._resident_bytes -= block.nbytes
-                        del layer_blocks[keep_blocks:]
-                    cut = cache.char_offsets[keep_tokens] if keep_tokens else 0
-                    del cache.token_ids[keep_tokens:]
-                    del cache.char_offsets[keep_tokens:]
-                    cache.transcript_text = cache.transcript_text[:cut]
-                self._touch(cache)
-            finally:
-                self._evict_to_budget()
+        if keep_tokens % self.spec.block_tokens != 0:
+            raise InvalidArgumentError(
+                f"keep_tokens ({keep_tokens}) must be a multiple of "
+                f"block_tokens ({self.spec.block_tokens})"
+            )
+        cache = self._ensure_resident(agent_id)
+        try:
+            if keep_tokens > cache.token_count:
+                raise InvalidArgumentError("cannot truncate beyond the cached token count")
+            if keep_tokens < cache.token_count:
+                keep_blocks = keep_tokens // self.spec.block_tokens
+                for layer_blocks in cache.blocks:
+                    for block in layer_blocks[keep_blocks:]:
+                        self._resident_bytes -= block.nbytes
+                    del layer_blocks[keep_blocks:]
+                cut = cache.char_offsets[keep_tokens] if keep_tokens else 0
+                del cache.token_ids[keep_tokens:]
+                del cache.char_offsets[keep_tokens:]
+                cache.transcript_text = cache.transcript_text[:cut]
+            self._touch(cache)
+        finally:
+            self._evict_to_budget()
 
     def stats(self) -> PoolStats:
-        with self.io_guard:
-            return PoolStats(
-                resident_bytes=self._resident_bytes,
-                budget_bytes=self.budget_bytes,
-                agents_hot=len(self._hot),
-                agents_warm=len(self._warm),
-                evictions=self._evictions,
-                reloads=self._reloads,
-            )
+        return PoolStats(
+            resident_bytes=self._resident_bytes,
+            budget_bytes=self.budget_bytes,
+            agents_hot=len(self._hot),
+            agents_warm=len(self._warm),
+            evictions=self._evictions,
+            reloads=self._reloads,
+        )
 
     def agent_state(self, agent_id: str) -> CacheState:
         """Lifecycle state; does not count as a use for LRU eviction."""
-        with self.io_guard:
-            if agent_id in self._hot:
-                return CacheState.HOT
-            if agent_id in self._warm or self._on_disk(agent_id):
-                return CacheState.WARM
-            return CacheState.COLD
+        if agent_id in self._hot:
+            return CacheState.HOT
+        if agent_id in self._warm or self._on_disk(agent_id):
+            return CacheState.WARM
+        return CacheState.COLD
 
     def known_agents(self) -> list[str]:
         """Ids that are resident or that this pool evicted."""
-        with self.io_guard:
-            return sorted(self._hot.keys() | self._warm)
+        return sorted(self._hot.keys() | self._warm)
 
     def hot_agents(self) -> list[str]:
-        with self.io_guard:
-            return sorted(self._hot)
+        return sorted(self._hot)

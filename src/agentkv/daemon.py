@@ -5,20 +5,22 @@ and receive exactly one ``{"id", "ok", "result"|"error"}`` response.
 Streaming events (tokens etc.) arrive as unsolicited ``{"event": ...}``
 lines on the connection that submitted the request.
 
-Threading: one accept lane, one reader lane per client, and a single
-worker lane that owns the scheduler, engine, and pool. Connection
-readers enqueue closures onto the worker's queue and wait; the worker
-executes them strictly one at a time, so at most one engine operation is
-ever in flight no matter how many clients connect.
+Threading: one accept thread, one reader thread per client, and one lane:
+a single-worker executor that owns the scheduler, the engine and the
+pool. A reader hands each op to the lane and waits for its result; the
+lane runs ops strictly one at a time, so at most one engine operation is
+ever in flight no matter how many clients connect, and neither the
+scheduler nor the pool takes a lock. The lane and the readers write to
+the same sockets, so each connection's writes hold its own lock.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import socket
 import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from .block_pool import DEFAULT_BUDGET_BYTES, BlockPool
 from .blocks import CacheState
 from .capacity import capacity_table, parse_budget, parse_contexts
 from .engine import SyntheticEngine
-from .errors import AgentKVError, InvalidArgumentError, NotFoundError
+from .errors import AgentKVError, InvalidArgumentError, NotFoundError, ShuttingDownError
 from .model_spec import preset
 from .prefix import match
 from .scheduler import Event, EventKind, Request, Scheduler
@@ -116,39 +118,27 @@ class CacheDaemon:
             chunk_tokens=config.chunk_tokens,
             max_batch=config.max_batch,
         )
-        self._work: queue.Queue = queue.Queue()
+        self._lane = ThreadPoolExecutor(max_workers=1)
         self._stop = threading.Event()
         self._listener: socket.socket | None = None
         self._submitters: dict[str, _Connection] = {}
 
-    # -- worker lane ---------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._work.get()
-            if item is None:
-                return
-            fn, done = item
-            try:
-                fn()
-            finally:
-                done.set()
+    # -- the lane ----------------------------------------------------------------
 
     def _on_worker(self, fn) -> None:
-        """Run fn on the scheduler lane, wait, and re-raise its error here."""
-        done = threading.Event()
-        box: dict = {}
+        """Run fn on the lane, wait, and re-raise its error here.
 
-        def wrapped():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - transported to caller
-                box["exc"] = exc
-
-        self._work.put((wrapped, done))
-        done.wait()
-        if "exc" in box:
-            raise box["exc"]
+        Raises ShuttingDownError when the lane no longer takes work, or
+        when shutdown cancelled fn before it started.
+        """
+        try:
+            future = self._lane.submit(fn)
+        except RuntimeError as exc:  # the lane was shut down
+            raise ShuttingDownError("the daemon is shutting down") from exc
+        try:
+            future.result()
+        except CancelledError as exc:
+            raise ShuttingDownError("the daemon is shutting down") from exc
 
     # -- event routing ---------------------------------------------------------
 
@@ -171,7 +161,7 @@ class CacheDaemon:
         return system
 
     # -- operations -------------------------------------------------------------
-    # Each handler runs on the worker lane and returns the op's result.
+    # Each handler runs on the lane and returns the op's result.
 
     def _op_submit(self, conn: _Connection, params: dict) -> dict:
         request = Request(
@@ -226,7 +216,7 @@ class CacheDaemon:
 
     def _op_drop(self, conn: _Connection, params: dict) -> dict:
         agent_id = str(params["agent_id"])
-        self.pool.drop_agent(agent_id, delete_disk=bool(params.get("delete_disk", False)))
+        self.scheduler.drop_agent(agent_id, delete_disk=bool(params.get("delete_disk", False)))
         return {}
 
     def _op_stats(self, conn: _Connection, params: dict) -> dict:
@@ -376,13 +366,12 @@ class CacheDaemon:
         """Run until shutdown; call bind() first."""
         if self._listener is None:
             self.bind()
-        threading.Thread(target=self._worker_loop, daemon=True).start()
         threading.Thread(target=self._accept_loop, daemon=True).start()
         self._stop.wait()
 
     def shutdown(self) -> None:
+        self._lane.shutdown(wait=False, cancel_futures=True)
         self._stop.set()
-        self._work.put(None)
         if self._listener is not None:
             try:
                 self._listener.close()

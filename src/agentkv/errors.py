@@ -53,3 +53,9 @@ class EvictionFailedError(AgentKVError):
     """Eviction could not persist the victim; it stays resident."""
 
     code = "eviction_failed"
+
+
+class ShuttingDownError(AgentKVError):
+    """The daemon is shutting down and runs no more operations."""
+
+    code = "shutting_down"

@@ -17,7 +17,6 @@ cache across phases.
 from __future__ import annotations
 
 import contextlib
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -83,7 +82,12 @@ class _Active:
 
 
 class Scheduler:
-    """Owns the engine and pool mutations on one logical lane.
+    """Drives the engine and the pool, one unit of work at a time.
+
+    A scheduler has one owner: a single thread calls every method, and the
+    scheduler takes no lock. In the daemon that thread is the lane, which
+    also owns the pool and the engine; the engine counts overlapping calls
+    in ``reentrancy_violations``, so a second caller shows there.
 
     Holds only in-flight state: a request leaves the table when its DONE
     event (which carries its token accounting) is emitted, and events wait
@@ -115,7 +119,6 @@ class Scheduler:
         self._last_unit: str | None = None
         self._tick = 0
         self._events: list[Event] = []
-        self._lock = threading.RLock()
         pool.set_event_sink(self._pool_event)
 
     # -- events --------------------------------------------------------------
@@ -134,85 +137,93 @@ class Scheduler:
 
     def drain(self) -> list[Event]:
         """Return the events emitted since the last hand-out, oldest first."""
-        with self._lock:
-            out = self._events
-            self._events = []
-            return out
+        out = self._events
+        self._events = []
+        return out
 
     # -- submission ----------------------------------------------------------
 
     def submit(self, request: Request) -> MatchResult | None:
         """Enqueue a request; returns the prefix-match verdict, if any."""
-        with self._lock:
-            if request.request_id in self._requests or request.request_id in self._finished_ids:
-                raise InvalidArgumentError(
-                    f"duplicate request_id {request.request_id!r}"
-                )
-            if request.max_tokens < 1:
-                raise InvalidArgumentError("max_tokens must be >= 1")
-            for active in self._requests.values():
-                if active.request.agent_id == request.agent_id:
-                    raise InvalidArgumentError(
-                        f"agent {request.agent_id!r} already has an in-flight request"
-                    )
-
-            result: MatchResult | None = None
-            suffix = request.prompt
-            reused = 0
-            if not request.persistent_cache_prefix:
-                with contextlib.suppress(NotFoundError):
-                    self.pool.drop_agent(request.agent_id, delete_disk=True)
-            elif self.pool.agent_state(request.agent_id) is not CacheState.COLD:
-                cache = self.pool.get_cache(request.agent_id)
-                result = match(cache, request.prompt, self.spec.block_tokens)
-                if result.verdict is Verdict.DIVERGE:
-                    # stale context: drop and rebuild from scratch
-                    self.pool.drop_agent(request.agent_id, delete_disk=True)
-                else:
-                    if result.reuse_tokens < cache.token_count:
-                        self.pool.truncate_agent(request.agent_id, result.reuse_tokens)
-                    suffix = result.suffix_text
-                    reused = result.reuse_tokens
-
-            ids, offsets = self.engine.tokenize(suffix)
-            active = _Active(
-                request=request,
-                pending_ids=ids,
-                pending_text=suffix,
-                pending_offsets=offsets,
-                prompt_tokens=reused + len(ids),
-                reused_tokens=reused,
+        if request.request_id in self._requests or request.request_id in self._finished_ids:
+            raise InvalidArgumentError(
+                f"duplicate request_id {request.request_id!r}"
             )
-            self._requests[request.request_id] = active
-            if ids:
-                self._prefill_queue.append(request.request_id)
+        if request.max_tokens < 1:
+            raise InvalidArgumentError("max_tokens must be >= 1")
+        self._refuse_in_flight(request.agent_id)
+
+        result: MatchResult | None = None
+        suffix = request.prompt
+        reused = 0
+        if not request.persistent_cache_prefix:
+            with contextlib.suppress(NotFoundError):
+                self.pool.drop_agent(request.agent_id, delete_disk=True)
+        elif self.pool.agent_state(request.agent_id) is not CacheState.COLD:
+            cache = self.pool.get_cache(request.agent_id)
+            result = match(cache, request.prompt, self.spec.block_tokens)
+            if result.verdict is Verdict.DIVERGE:
+                # stale context: drop and rebuild from scratch
+                self.pool.drop_agent(request.agent_id, delete_disk=True)
             else:
-                self._decode_ready.append(request.request_id)
-            return result
+                if result.reuse_tokens < cache.token_count:
+                    self.pool.truncate_agent(request.agent_id, result.reuse_tokens)
+                suffix = result.suffix_text
+                reused = result.reuse_tokens
+
+        ids, offsets = self.engine.tokenize(suffix)
+        active = _Active(
+            request=request,
+            pending_ids=ids,
+            pending_text=suffix,
+            pending_offsets=offsets,
+            prompt_tokens=reused + len(ids),
+            reused_tokens=reused,
+        )
+        self._requests[request.request_id] = active
+        if ids:
+            self._prefill_queue.append(request.request_id)
+        else:
+            self._decode_ready.append(request.request_id)
+        return result
+
+    def _refuse_in_flight(self, agent_id: str) -> None:
+        for active in self._requests.values():
+            if active.request.agent_id == agent_id:
+                raise InvalidArgumentError(
+                    f"agent {agent_id!r} already has an in-flight request"
+                )
+
+    def drop_agent(self, agent_id: str, delete_disk: bool = False) -> None:
+        """Drop an idle agent's cache, as ``BlockPool.drop_agent`` does.
+
+        Refused with InvalidArgumentError while the agent has a request in
+        flight: its next chunk or decode row continues the cache.
+        """
+        self._refuse_in_flight(agent_id)
+        self.pool.drop_agent(agent_id, delete_disk=delete_disk)
 
     # -- stepping ------------------------------------------------------------
 
     def has_work(self) -> bool:
-        with self._lock:
-            return bool(self._prefill_queue or self._decode_ready)
+        return bool(self._prefill_queue or self._decode_ready)
 
     def step(self) -> list[Event]:
         """Run one unit of work and return every pending event."""
-        with self._lock:
-            has_prefill = bool(self._prefill_queue)
-            has_decode = bool(self._decode_ready)
-            if not has_prefill and not has_decode:
-                return self.drain()
-            if has_prefill and has_decode:
-                unit = "decode" if self._last_unit == "prefill" else "prefill"
-            else:
-                unit = "prefill" if has_prefill else "decode"
-            if unit == "prefill":
-                self._prefill_unit()
-            else:
-                self._decode_unit()
-            self._last_unit = unit
+        has_prefill = bool(self._prefill_queue)
+        has_decode = bool(self._decode_ready)
+        if not has_prefill and not has_decode:
             return self.drain()
+        if has_prefill and has_decode:
+            unit = "decode" if self._last_unit == "prefill" else "prefill"
+        else:
+            unit = "prefill" if has_prefill else "decode"
+        if unit == "prefill":
+            self._prefill_unit()
+        else:
+            self._decode_unit()
+        self._last_unit = unit
+        return self.drain()
 
     def run_until_idle(self) -> list[Event]:
         """Step until no work remains; returns every pending event."""
@@ -239,6 +250,8 @@ class Scheduler:
     def _prefill_unit(self) -> None:
         request_id = self._prefill_queue.popleft()
         active = self._requests[request_id]
+        # the agent's cache holds every prompt token before this chunk
+        start = active.prompt_tokens - len(active.pending_ids)
         take = min(self.chunk_tokens, len(active.pending_ids))
         chunk_ids = active.pending_ids[:take]
         del active.pending_ids[:take]
@@ -253,13 +266,11 @@ class Scheduler:
 
         agent_id = active.request.agent_id
         try:
-            start = (
-                self.pool.get_cache(agent_id).token_count
-                if self.pool.agent_state(agent_id) is not CacheState.COLD
-                else 0
-            )
             kv = self.engine.prefill_chunk(agent_id, chunk_ids, start)
-            self.pool.append_tokens(agent_id, kv, chunk_ids, chunk_text, chunk_offsets)
+            total = self.pool.append_tokens(agent_id, kv, chunk_ids, chunk_text, chunk_offsets)
+            if total != start + take:  # an evicted agent's files vanished: a new cache began
+                self.pool.drop_agent(agent_id, delete_disk=True)
+                raise NotFoundError(f"agent {agent_id!r} lost its cache mid-request")
         except AgentKVError as exc:
             self._finish(request_id, f"prefill failed: {exc}")
             return
@@ -305,24 +316,22 @@ class Scheduler:
 
     def save_all(self) -> list[Event]:
         """Persist every Hot agent; returns every pending event."""
-        with self._lock:
-            for agent_id in self.pool.hot_agents():
-                self.pool.save_agent(agent_id)
-            return self.drain()
+        for agent_id in self.pool.hot_agents():
+            self.pool.save_agent(agent_id)
+        return self.drain()
 
     def restore(self, agent_ids: list[str]) -> list[Event]:
         """Load the named agents from disk; returns every pending event.
 
         A failed load becomes a CacheLoaded event with ``ok: false``.
         """
-        with self._lock:
-            for agent_id in agent_ids:
-                try:
-                    self.pool.get_cache(agent_id)
-                except AgentKVError as exc:
-                    self._emit(
-                        EventKind.CACHE_LOADED,
-                        "",
-                        {"agent_id": agent_id, "ok": False, "error": str(exc)},
-                    )
-            return self.drain()
+        for agent_id in agent_ids:
+            try:
+                self.pool.get_cache(agent_id)
+            except AgentKVError as exc:
+                self._emit(
+                    EventKind.CACHE_LOADED,
+                    "",
+                    {"agent_id": agent_id, "ok": False, "error": str(exc)},
+                )
+        return self.drain()

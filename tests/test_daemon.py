@@ -365,3 +365,158 @@ def test_daemon_keeps_only_in_flight_state(tmp_path, monkeypatch):
     assert d.scheduler._requests == {}
     assert d._submitters == {}
     assert growth < 1024 * requests, f"{growth / requests:.0f} bytes per request"
+
+
+def test_drop_of_agent_with_request_in_flight_is_refused(daemon):
+    d, address = daemon
+    client = connect(address)
+    prompt = "word" * 24  # three 8-token chunks
+    assert client.request("submit", {"request_id": "r1", "agent_id": "dropee",
+                                     "prompt": prompt, "max_tokens": 2})["ok"]
+    assert client.request("step")["ok"]  # the first chunk only
+    dropped = client.request("drop", {"agent_id": "dropee", "delete_disk": True})
+    assert not dropped["ok"]
+    assert dropped["error"]["code"] == "invalid_argument"
+    assert client.request("run")["ok"]
+    (done,) = [e for e in client.drain_events() if e["kind"] == "done"]
+    assert (done["payload"]["prompt_tokens"], done["payload"]["generated"]) == (24, 2)
+    held = {}
+    d._on_worker(lambda: held.update(tokens=d.pool.get_cache("dropee").token_count))
+    assert held["tokens"] == 26
+    assert client.request("drop", {"agent_id": "dropee"})["ok"]  # idle now
+    client.close()
+
+
+def test_request_after_shutdown_gets_shutting_down_reply(tmp_path):
+    d = CacheDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache"),
+                                 socket_path=str(tmp_path / "s.sock")))
+    address = d.bind()
+    thread = threading.Thread(target=d.serve_forever, daemon=True)
+    thread.start()
+    stopper = DaemonClient(address, timeout=5.0)
+    other = DaemonClient(address, timeout=5.0)
+    assert other.request("stats")["ok"]
+    assert stopper.request("shutdown")["ok"]
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    response = other.request("stats")
+    assert (response["id"], response["ok"]) == ("c2", False)
+    assert response["error"]["code"] == "shutting_down"
+    stopper.close()
+    other.close()
+
+
+class _Lines:
+    """Stands in for a connection: keeps the lines the daemon sends."""
+
+    def __init__(self):
+        self.lines = []
+
+    def send_line(self, obj):
+        self.lines.append(obj)
+
+
+def test_op_waiting_for_the_lane_at_shutdown_gets_shutting_down_reply(tmp_path):
+    d = CacheDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache")))
+    started, release, queued = threading.Event(), threading.Event(), threading.Event()
+    real_submit = d._lane.submit
+
+    def submit(fn):
+        future = real_submit(fn)
+        if started.is_set():
+            queued.set()
+        return future
+
+    d._lane.submit = submit
+
+    def hold():
+        started.set()
+        release.wait(10)
+
+    holder = threading.Thread(target=d._on_worker, args=(hold,))
+    holder.start()
+    assert started.wait(5)
+    conn = _Lines()
+    waiter = threading.Thread(
+        target=d._dispatch, args=(conn, {"id": "w", "op": "stats", "params": {}})
+    )
+    waiter.start()
+    assert queued.wait(5)  # stats waits behind hold
+    d.shutdown()
+    release.set()
+    waiter.join(timeout=5)
+    holder.join(timeout=5)
+    assert not waiter.is_alive() and not holder.is_alive()
+    (reply,) = conn.lines
+    assert (reply["id"], reply["ok"], reply["error"]["code"]) == ("w", False, "shutting_down")
+
+
+def test_one_lane_runs_every_scheduler_pool_and_engine_call(daemon):
+    """Four clients at once: one thread, not a reader, makes every call."""
+    d, address = daemon
+    lane_calls = []  # (method, thread id)
+    readers = set()
+
+    def record(obj, owner):
+        for name in dir(type(obj)):
+            method = getattr(obj, name)
+            if name.startswith("_") or not callable(method):
+                continue
+
+            def wrapped(*args, _method=method, _name=f"{owner}.{name}", **kwargs):
+                lane_calls.append((_name, threading.get_ident()))
+                return _method(*args, **kwargs)
+
+            setattr(obj, name, wrapped)
+
+    record(d.scheduler, "scheduler")
+    record(d.pool, "pool")
+    record(d.engine, "engine")
+    dispatch = d._dispatch
+
+    def reader_dispatch(conn, message):
+        readers.add(threading.get_ident())
+        dispatch(conn, message)
+
+    d._dispatch = reader_dispatch
+    failures = []
+
+    def client_turns(i):
+        client = connect(address)
+        agent = f"agent{i}"
+        try:
+            prompt = ""
+            for turn in range(3):
+                prompt += f"turn {turn} of {agent}. " * 4
+                for op, params in [
+                    ("submit", {"request_id": f"{agent}-{turn}", "agent_id": agent,
+                                "prompt": prompt, "max_tokens": 2}),
+                    ("run", {}),
+                    ("match", {"agent_id": agent, "prompt": prompt}),
+                    ("save_all", {}),
+                    ("stats", {}),
+                ]:
+                    response = client.request(op, params)
+                    if not response["ok"]:
+                        failures.append((op, response))
+            response = client.request("drop", {"agent_id": agent, "delete_disk": True})
+            if not response["ok"]:
+                failures.append(("drop", response))
+        finally:
+            client.close()
+
+    clients = [threading.Thread(target=client_turns, args=(i,)) for i in range(4)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in clients)
+    assert failures == []
+    assert len(readers) == 4
+    lanes = {ident for _, ident in lane_calls}
+    assert len(lanes) == 1 and lanes.isdisjoint(readers | {threading.get_ident()})
+    names = {name for name, _ in lane_calls}
+    assert {"scheduler.submit", "scheduler.step", "scheduler.drop_agent", "scheduler.save_all",
+            "pool.get_cache", "pool.append_tokens", "pool.save_agent", "pool.stats",
+            "engine.prefill_chunk", "engine.decode_step"} <= names
+    assert d.engine.counters.reentrancy_violations == 0

@@ -12,6 +12,7 @@ from agentkv.block_pool import BlockPool
 from agentkv.codec import q4_bytes
 from agentkv.engine import SyntheticEngine
 from agentkv.errors import InvalidArgumentError, PersistenceError
+from agentkv.persistence import remove_agent_files
 from agentkv.prefix import Verdict
 from agentkv.scheduler import EventKind, Request, Scheduler
 
@@ -533,6 +534,47 @@ def test_inflight_agent_rejected(tmp_path):
         sched.submit(Request("r2", "a", prompt_of_tokens(2), max_tokens=1))
     sched.run_until_idle()
     sched.submit(Request("r3", "a", prompt_of_tokens(2), max_tokens=1))  # now fine
+
+
+def test_drop_refused_while_request_in_flight(tmp_path):
+    """A drop between prefill chunks would make the next chunk start a new cache."""
+    _, pool, _, sched = make_world(tmp_path, chunk_tokens=8)
+    sched.submit(Request("r1", "a", prompt_of_tokens(24), max_tokens=2))
+    sched.step()  # the first of three chunks
+    for delete_disk in (False, True):
+        with pytest.raises(InvalidArgumentError):
+            sched.drop_agent("a", delete_disk=delete_disk)
+    done = done_payloads(sched.run_until_idle())["r1"]
+    assert (done["prompt_tokens"], done["generated"]) == (24, 2)
+    assert pool.get_cache("a").token_count == 26
+    sched.drop_agent("a", delete_disk=True)  # idle now
+    assert pool.known_agents() == []
+
+
+def test_prefill_chunk_of_an_evicted_agent_reloads_it_once(tmp_path):
+    """The chunk's position comes from the request; only the append reloads."""
+    # the budget holds one chunk, so after its second chunk the agent evicts itself
+    _, pool, _, sched = make_world(tmp_path, chunk_tokens=8, budget=q4_bytes(tiny_spec(), 8))
+    sched.submit(Request("r1", "a", prompt_of_tokens(24), max_tokens=1))
+    sched.step()
+    sched.step()
+    assert pool.stats().reloads == 0 and pool.hot_agents() == []
+    sched.step()
+    assert pool.stats().reloads == 1
+    done = done_payloads(sched.run_until_idle())["r1"]
+    assert "error" not in done and pool.get_cache("a").token_count == 25
+
+
+def test_prefill_fails_when_an_evicted_agents_files_vanish(tmp_path):
+    """The next chunk must not start a new cache in the middle of the prompt."""
+    _, pool, _, sched = make_world(tmp_path, chunk_tokens=8, budget=q4_bytes(tiny_spec(), 8))
+    sched.submit(Request("r1", "a", prompt_of_tokens(24), max_tokens=1))
+    sched.step()
+    sched.step()  # evicted: its only copy is on disk
+    remove_agent_files(tmp_path, "a")
+    done = done_payloads(sched.run_until_idle())["r1"]
+    assert "error" in done and done["generated"] == 0
+    assert pool.known_agents() == [] and list(tmp_path.iterdir()) == []
 
 
 def test_engine_failure_fails_only_that_request(tmp_path, monkeypatch):
