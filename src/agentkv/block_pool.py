@@ -21,7 +21,7 @@ import numpy as np
 
 from . import persistence
 from .blocks import AgentCache, CacheState, KVBlock, check_kv
-from .codec import concat_tokens, quantize_tensor, slice_tokens
+from .codec import QuantizedTensor, concat_tokens, quantize_tensor, slice_tokens
 from .errors import (
     EvictionFailedError,
     InvalidArgumentError,
@@ -53,6 +53,11 @@ class PoolStats:
 
 def _valid_agent_id(agent_id: str) -> bool:
     return bool(agent_id) and all(c.isalnum() or c in "._-" for c in agent_id)
+
+
+def _token_range(q: QuantizedTensor, start: int, stop: int) -> QuantizedTensor:
+    """Tokens [start, stop) of a freshly quantized chunk; all of it is passed, uncopied."""
+    return q if (start, stop) == (0, q.tokens) else slice_tokens(q, start, stop)
 
 
 class BlockPool:
@@ -226,15 +231,15 @@ class BlockPool:
             tail = layer_blocks[-1]
             take = min(block_tokens - tail.token_count, total)
             added -= tail.nbytes
-            tail.k = concat_tokens(tail.k, slice_tokens(qk, 0, take))
-            tail.v = concat_tokens(tail.v, slice_tokens(qv, 0, take))
+            tail.k = concat_tokens(tail.k, _token_range(qk, 0, take))
+            tail.v = concat_tokens(tail.v, _token_range(qv, 0, take))
             added += tail.nbytes
             consumed = take
         while consumed < total:
             take = min(block_tokens, total - consumed)
             block = KVBlock(
-                k=slice_tokens(qk, consumed, consumed + take),
-                v=slice_tokens(qv, consumed, consumed + take),
+                k=_token_range(qk, consumed, consumed + take),
+                v=_token_range(qv, consumed, consumed + take),
             )
             layer_blocks.append(block)
             added += block.nbytes

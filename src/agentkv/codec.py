@@ -3,7 +3,9 @@
 Values are quantized in contiguous groups along the head dimension: each
 group of ``group_size`` elements stores one bfloat16 scale and bias plus a
 4-bit code per element. Eight codes pack into one little-endian uint32
-word, code j of a word occupying bits [4j, 4j+4).
+word, code j of a word occupying bits [4j, 4j+4). As bytes that is one
+nibble pair per byte: byte b holds code 2b in its low nibble and code
+2b+1 in its high nibble, which is how pack_codes builds the words.
 
 All arithmetic is float32; scales and biases are stored as raw bfloat16
 bit patterns (uint16) so persistence and equality checks are bit-exact.
@@ -63,9 +65,12 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
     """Pack 4-bit codes along the last axis, 8 per uint32 word."""
     if codes.shape[-1] % 8 != 0:
         raise ShapeError(f"last axis must be a multiple of 8, got {codes.shape[-1]}")
-    c = codes.reshape(*codes.shape[:-1], codes.shape[-1] // 8, 8).astype(np.uint32)
-    shifts = (np.arange(8, dtype=np.uint32) * 4).astype(np.uint32)
-    return np.bitwise_or.reduce(c << shifts, axis=-1).astype(np.uint32)
+    # each little-endian uint16 holds a code pair as c0 | c1 << 8; its low
+    # byte after w | w >> 4 is c0 | c1 << 4
+    pairs = np.ascontiguousarray(codes, dtype=np.uint8).view("<u2")
+    nibbles = pairs >> 4
+    nibbles |= pairs
+    return nibbles.astype(np.uint8).view("<u4")
 
 
 def unpack_codes(packed: np.ndarray) -> np.ndarray:
@@ -80,6 +85,41 @@ def _check_bf16_finite(bits: np.ndarray, what: str) -> None:
         raise InvalidValueError(f"{what} overflows bfloat16 range")
 
 
+# Below this many elements np.min/np.max are cheaper than the extrema tree
+# (measured crossover between 4k and 8k float32 elements on 2 x86 CPUs).
+_TREE_MIN_ELEMS = 1 << 13
+
+
+def _group_extrema(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group (min, max) over the last axis, equal to np.min and np.max.
+
+    Large inputs halve each group twice with elementwise minimum/maximum,
+    then reduce the transposed remainder along contiguous rows; a 64-wide
+    reduction per group is the slow part of np.min. Elementwise minimum
+    breaks a +0/-0 tie differently from np.min, so groups whose minimum is
+    zero are recomputed with np.min. The maximum's zero sign never reaches
+    the stored bytes (see quantize_array).
+    """
+    if groups.size < _TREE_MIN_ELEMS:
+        return groups.min(axis=-1), groups.max(axis=-1)
+    lead = groups.shape[:-1]
+    rows = groups.reshape(-1, groups.shape[-1])
+    extrema = []
+    for op in (np.minimum, np.maximum):
+        part = rows
+        for _ in range(2):  # a 64-wide group becomes 16 wide
+            if part.shape[-1] % 2:
+                break
+            half = part.shape[-1] // 2
+            part = op(part[:, :half], part[:, half:])
+        extrema.append(op.reduce(np.ascontiguousarray(part.T), axis=0).reshape(lead))
+    vmin, vmax = extrema
+    zero = vmin == 0
+    if zero.any():
+        vmin[zero] = groups[zero].min(axis=-1)
+    return vmin, vmax
+
+
 def quantize_array(values: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize an (..., dim) float array in groups along the last axis.
 
@@ -90,6 +130,9 @@ def quantize_array(values: np.ndarray, group_size: int) -> tuple[np.ndarray, np.
     code = clamp(round_half_even((v - bias) / scale), 0, 15). A degenerate
     group (max == min, or a range too small for bfloat16) stores scale 1
     and all-zero codes, so stored scales are always strictly positive.
+    The group minimum is np.min's: when +0 and -0 tie for it, the bias
+    keeps the zero that np.min returns. The transient peak is about 1.35x
+    the float32 input: one code buffer, updated in place, and its uint8 copy.
     """
     v = np.asarray(values)
     if v.ndim < 1:
@@ -100,27 +143,33 @@ def quantize_array(values: np.ndarray, group_size: int) -> tuple[np.ndarray, np.
             f"last axis ({dim}) must be a multiple of 8 and of group_size ({group_size})"
         )
     v = v.astype(np.float32, copy=False)
-    if not np.isfinite(v).all():
-        raise InvalidValueError("values must be finite")
-
     groups = v.reshape(*v.shape[:-1], dim // group_size, group_size)
-    vmin = groups.min(axis=-1)
-    vmax = groups.max(axis=-1)
-    scale_f32 = ((vmax - vmin) / np.float32(15.0)).astype(np.float32)
+    # min and max propagate NaN and keep infinities, so checking them
+    # checks every value
+    vmin, vmax = _group_extrema(groups)
+    if not (np.isfinite(vmin).all() and np.isfinite(vmax).all()):
+        raise InvalidValueError("values must be finite")
+    scale_f32 = (vmax - vmin) / np.float32(15.0)
 
     bias_bits = f32_to_bf16_bits(vmin)
     scale_bits = f32_to_bf16_bits(scale_f32)
     # A range below the smallest bfloat16 subnormal rounds to scale 0; fold
     # it into the degenerate rule rather than storing a zero scale.
     degenerate = (scale_bits & np.uint16(0x7FFF)) == 0
-    scale_bits = np.where(degenerate, _BF16_ONE, scale_bits)
+    scale_bits[degenerate] = _BF16_ONE
     _check_bf16_finite(scale_bits, "group scale")
     _check_bf16_finite(bias_bits, "group bias")
 
     scale = bf16_bits_to_f32(scale_bits)[..., None]
     bias = bf16_bits_to_f32(bias_bits)[..., None]
-    codes = np.clip(np.rint((groups - bias) / scale), 0.0, 15.0).astype(np.uint8)
-    codes = np.where(degenerate[..., None], np.uint8(0), codes)
+    # true division, not a reciprocal multiply, which rounds differently
+    q = np.subtract(groups, bias)
+    np.divide(q, scale, out=q)
+    np.rint(q, out=q)
+    np.clip(q, 0.0, 15.0, out=q)
+    codes = q.astype(np.uint8)
+    del q
+    codes[degenerate] = 0
     packed = pack_codes(codes.reshape(*v.shape[:-1], dim))
     return packed, scale_bits, bias_bits
 

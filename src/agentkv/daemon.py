@@ -283,9 +283,11 @@ class CacheDaemon:
     # -- socket plumbing ---------------------------------------------------------
 
     def _reader_loop(self, conn: _Connection) -> None:
+        # Read until the client hangs up, not until shutdown: a request
+        # that arrives after shutdown still gets its shutting_down reply.
         buffer = bytearray()
         sock = conn.sock
-        while not self._stop.is_set():
+        while True:
             try:
                 data = sock.recv(65536)
             except OSError:

@@ -2,13 +2,19 @@
 
 Everything here is deliberately written the slow, obvious way (scalar
 struct-based float handling, per-position loops, plain-list simulations)
-and must stay decoupled from the production code paths it checks.
+and must stay decoupled from the production code paths it checks. The one
+vectorized piece is the frozen array codec, the byte-level reference for
+the fast one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+
+import numpy as np
+
+from agentkv.errors import InvalidValueError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +70,82 @@ def quantize_group_scalar(values: list[float]) -> tuple[list[int], int, int, flo
 def group_error_bound(scale_f32: float) -> float:
     """Maximum allowed |v - v_hat| for a group: 0.5 * scale * (1 + 2^-7)."""
     return 0.5 * scale_f32 * (1.0 + 2.0 ** -7)
+
+
+# ---------------------------------------------------------------------------
+# bfloat16 and group quantization, array route (frozen reference)
+#
+# The straightforward vectorized codec, kept unchanged as the byte-level
+# reference for agentkv.codec: np.min/np.max per group, a uint32 upcast
+# and bitwise_or.reduce for packing. It is vectorized, not scalar, so
+# equivalence can be checked on full-size chunks.
+
+_REF_BF16_ONE = np.uint16(0x3F80)
+
+
+def reference_f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
+    u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
+    rounded = (u + np.uint32(0x7FFF) + ((u >> np.uint32(16)) & np.uint32(1))) >> np.uint32(16)
+    is_nan = (u & np.uint32(0x7FFFFFFF)) > np.uint32(0x7F800000)
+    out = np.where(is_nan, (u >> np.uint32(16)) | np.uint32(0x0040), rounded)
+    return out.astype(np.uint16)
+
+
+def reference_bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
+    shifted = np.ascontiguousarray(bits, dtype=np.uint16).astype(np.uint32) << np.uint32(16)
+    return shifted.view(np.float32)
+
+
+def reference_pack_codes(codes: np.ndarray) -> np.ndarray:
+    """Pack 4-bit codes along the last axis, 8 per uint32 word."""
+    if codes.shape[-1] % 8 != 0:
+        raise ShapeError(f"last axis must be a multiple of 8, got {codes.shape[-1]}")
+    c = codes.reshape(*codes.shape[:-1], codes.shape[-1] // 8, 8).astype(np.uint32)
+    shifts = (np.arange(8, dtype=np.uint32) * 4).astype(np.uint32)
+    return np.bitwise_or.reduce(c << shifts, axis=-1).astype(np.uint32)
+
+
+def _reference_check_bf16_finite(bits: np.ndarray, what: str) -> None:
+    if np.any((bits & np.uint16(0x7F80)) == np.uint16(0x7F80)):
+        raise InvalidValueError(f"{what} overflows bfloat16 range")
+
+
+def reference_quantize_array(
+    values: np.ndarray, group_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(packed, scale_bits, bias_bits) for an (..., dim) float array."""
+    v = np.asarray(values)
+    if v.ndim < 1:
+        raise ShapeError("values must have at least one axis")
+    dim = v.shape[-1]
+    if dim % 8 != 0 or dim % group_size != 0:
+        raise ShapeError(
+            f"last axis ({dim}) must be a multiple of 8 and of group_size ({group_size})"
+        )
+    v = v.astype(np.float32, copy=False)
+    if not np.isfinite(v).all():
+        raise InvalidValueError("values must be finite")
+
+    groups = v.reshape(*v.shape[:-1], dim // group_size, group_size)
+    vmin = groups.min(axis=-1)
+    vmax = groups.max(axis=-1)
+    scale_f32 = ((vmax - vmin) / np.float32(15.0)).astype(np.float32)
+
+    bias_bits = reference_f32_to_bf16_bits(vmin)
+    scale_bits = reference_f32_to_bf16_bits(scale_f32)
+    # A range below the smallest bfloat16 subnormal rounds to scale 0; fold
+    # it into the degenerate rule rather than storing a zero scale.
+    degenerate = (scale_bits & np.uint16(0x7FFF)) == 0
+    scale_bits = np.where(degenerate, _REF_BF16_ONE, scale_bits)
+    _reference_check_bf16_finite(scale_bits, "group scale")
+    _reference_check_bf16_finite(bias_bits, "group bias")
+
+    scale = reference_bf16_bits_to_f32(scale_bits)[..., None]
+    bias = reference_bf16_bits_to_f32(bias_bits)[..., None]
+    codes = np.clip(np.rint((groups - bias) / scale), 0.0, 15.0).astype(np.uint8)
+    codes = np.where(degenerate[..., None], np.uint8(0), codes)
+    packed = reference_pack_codes(codes.reshape(*v.shape[:-1], dim))
+    return packed, scale_bits, bias_bits
 
 
 # ---------------------------------------------------------------------------

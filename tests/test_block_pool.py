@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from agentkv import block_pool
 from agentkv.block_pool import BlockPool
 from agentkv.blocks import CacheState
 from agentkv.codec import q4_bytes
@@ -326,6 +327,25 @@ def test_append_quantizes_one_layer_at_a_time(tmp_path):
         tracemalloc.stop()
     assert pool.get_cache("a").token_count == 512
     assert peak < 8 * layer_bytes, peak / layer_bytes
+
+
+def test_an_append_that_fits_one_block_is_stored_without_a_slice_copy(tmp_path, monkeypatch):
+    sliced = []
+    real_slice = block_pool.slice_tokens
+
+    def counting_slice(q, start, stop):
+        sliced.append((start, stop))
+        return real_slice(q, start, stop)
+
+    monkeypatch.setattr(block_pool, "slice_tokens", counting_slice)
+    pool = BlockPool(tiny_spec(block=8), tmp_path, budget_bytes=1 << 30)
+    rng = np.random.default_rng(25)
+    for _ in range(10):  # decoded tokens: fill block 0, then open block 1
+        append_random(pool, "a", 1, rng)
+    assert sliced == []
+    append_random(pool, "a", 10, rng)  # 6 fill the tail, 4 open a block
+    assert sliced == [(0, 6), (0, 6), (6, 10), (6, 10)] * 2  # two layers
+    assert pool.get_cache("a").block_token_counts() == [8, 8, 4]
 
 
 def test_drop_clears_an_agent_with_a_corrupt_sidecar(tmp_path):

@@ -1,10 +1,15 @@
 """Codec tests: bfloat16 conversion, packing, quantization bounds, byte math."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from agentkv import codec
 from agentkv.codec import (
     QuantizedTensor,
     bf16_bits_to_f32,
@@ -28,6 +33,8 @@ from .oracles import (
     bf16_round_bits,
     group_error_bound,
     quantize_group_scalar,
+    reference_pack_codes,
+    reference_quantize_array,
 )
 
 
@@ -197,6 +204,135 @@ def test_group_round_trip_bound_property(values):
     if scale_f32 > 1e-30:
         assert err <= group_error_bound(scale_f32)
     assert codes.min() >= 0 and codes.max() <= 15
+
+
+# ---------------------------------------------------------------------------
+# the fast codec against the frozen reference: bit for bit
+
+
+def _quantized_or_invalid(quantize, values, group_size):
+    try:
+        return quantize(values, group_size)
+    except InvalidValueError:
+        return "invalid"
+
+
+def assert_same_as_reference(values, group_size):
+    """Both extrema paths store exactly the reference's bytes, or both refuse."""
+    expected = _quantized_or_invalid(reference_quantize_array, values, group_size)
+    for tree_min_elems in (codec._TREE_MIN_ELEMS, 0):
+        with mock.patch.object(codec, "_TREE_MIN_ELEMS", tree_min_elems):
+            got = _quantized_or_invalid(quantize_array, values, group_size)
+        if isinstance(expected, str):
+            assert got == expected
+            continue
+        assert not isinstance(got, str)
+        for ours, ref in zip(got, expected):
+            assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape)
+            assert np.array_equal(ours, ref)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def codec_inputs(draw):
+    """(values, group_size): one decoded token (H, 1, D), a prefill chunk
+    (H, t, D) or a stacked chunk (L, H, t, D), with constant groups,
+    signed-zero ties, sub-subnormal ranges and near-overflow magnitudes."""
+    dim, group_size = draw(st.sampled_from([(128, 64), (128, 32), (64, 64), (64, 8), (24, 8)]))
+    heads = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["token", "chunk", "stacked"]))
+    tokens = 1 if kind == "token" else draw(st.integers(0, 40))
+    shape = (heads, tokens, dim)
+    if kind == "stacked":
+        shape = (draw(st.integers(1, 4)), *shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = draw(st.sampled_from([1.0, 1e-3, 1e-38, 1e-42, 1e30, 1e38, 3.39e38]))
+    values = rng.standard_normal(shape) * magnitude
+    if draw(st.booleans()):  # zeros at the group minimum: +0/-0 ties
+        values = np.abs(values)
+        values[rng.random(shape) < draw(st.floats(0.0, 0.9))] = 0.0
+        values[rng.random(shape) < draw(st.floats(0.0, 0.9))] = -0.0
+    values = np.clip(values, -_F32_MAX, _F32_MAX).astype(np.float32)
+    groups = values.reshape(*shape[:-1], dim // group_size, group_size)
+    constant = rng.random(groups.shape[:-1]) < draw(st.floats(0.0, 0.5))
+    groups[constant] = groups[constant][..., :1]  # degenerate groups
+    return values, group_size
+
+
+_OVERFLOW_WARNING = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@_OVERFLOW_WARNING
+@settings(max_examples=300, deadline=None)
+@given(codec_inputs())
+def test_quantize_array_is_bit_identical_to_the_reference(case):
+    assert_same_as_reference(*case)
+
+
+@_OVERFLOW_WARNING
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 4), st.just(1), st.sampled_from([8, 64, 128])),
+        elements=st.floats(width=32),
+    )
+)
+def test_quantize_array_matches_the_reference_on_any_float32(values):
+    # every bit pattern hypothesis likes: subnormals, +-0, extremes, NaN, inf
+    assert_same_as_reference(values, 8)
+
+
+@given(
+    hnp.arrays(np.uint8, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6).map(
+        lambda shape: (*shape[:-1], 8 * shape[-1])), elements=st.integers(0, 15)),
+    st.booleans(),
+)
+def test_pack_codes_matches_the_reference(codes, reverse):
+    if reverse:  # a non-contiguous view
+        codes = codes[..., ::-1]
+    ours, ref = pack_codes(codes), reference_pack_codes(codes)
+    assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape)
+    assert np.array_equal(ours, ref)
+
+
+@_OVERFLOW_WARNING
+def test_near_bf16_overflow_is_refused():
+    # finite float32, but the bias or the range rounds past bfloat16's max
+    for group in ([3.397e38] * 8, [-3.3e38, 3.3e38] * 4, [-_F32_MAX] + [0.0] * 7):
+        values = np.array([group], dtype=np.float32)
+        assert_same_as_reference(values, 8)
+        with pytest.raises(InvalidValueError):
+            quantize_array(values, 8)
+
+
+def test_a_zero_group_minimum_keeps_the_sign_np_min_gives():
+    # minimum() and min() break a +0/-0 tie differently; the stored bias
+    # follows np.min on both extrema paths
+    rng = np.random.default_rng(26)
+    values = np.abs(rng.standard_normal((64, 64, 64))).astype(np.float32) + 1
+    values[rng.random(values.shape) < 0.05] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    expected = f32_to_bf16_bits(values.min(axis=-1)[..., None])
+    assert {0x0000, 0x8000} <= set(np.unique(expected).tolist())
+    for tree_min_elems in (1 << 30, 0):
+        with mock.patch.object(codec, "_TREE_MIN_ELEMS", tree_min_elems):
+            _, _, bias_bits = quantize_array(values, 64)
+        assert np.array_equal(bias_bits, expected)
+
+
+def test_quantize_transient_memory_is_at_most_1_6x_the_input():
+    values = np.random.default_rng(27).standard_normal((8, 512, 128)).astype(np.float32)
+    quantize_array(values, 64)  # warm numpy's own caches first
+    tracemalloc.start()
+    try:
+        quantize_array(values, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * values.nbytes, peak / values.nbytes
 
 
 # ---------------------------------------------------------------------------

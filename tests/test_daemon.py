@@ -406,6 +406,44 @@ def test_request_after_shutdown_gets_shutting_down_reply(tmp_path):
     other.close()
 
 
+def test_reader_held_across_shutdown_still_replies_shutting_down(tmp_path):
+    """A reader that loses the race with shutdown keeps reading its socket.
+
+    The hook holds the reader after its first reply until shutdown has
+    finished and the second request is already on the wire, which is the
+    interleaving that used to close the connection unanswered.
+    """
+    d = CacheDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache"),
+                                 socket_path=str(tmp_path / "s.sock")))
+    held, release = threading.Event(), threading.Event()
+    real_dispatch = d._dispatch
+
+    def dispatch(conn, message):
+        real_dispatch(conn, message)
+        if message.get("id") == "first":
+            held.set()
+            release.wait(10)
+
+    d._dispatch = dispatch
+    address = d.bind()
+    thread = threading.Thread(target=d.serve_forever, daemon=True)
+    thread.start()
+    stopper = DaemonClient(address, timeout=5.0)
+    other = DaemonClient(address, timeout=5.0)
+    assert other.request("stats", msg_id="first")["ok"]
+    assert held.wait(5)
+    assert stopper.request("shutdown")["ok"]
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    other.send_raw(json.dumps({"id": "second", "op": "stats", "params": {}}) + "\n")
+    release.set()
+    response = other._read_line()
+    assert (response["id"], response["ok"]) == ("second", False)
+    assert response["error"]["code"] == "shutting_down"
+    stopper.close()
+    other.close()
+
+
 class _Lines:
     """Stands in for a connection: keeps the lines the daemon sends."""
 
