@@ -1,12 +1,11 @@
 """Command-line entry point: capacity tables, file inspection, scenarios,
-codec micro-benchmarks, and daemon server/client modes."""
+and daemon server/client modes."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .capacity import (
@@ -72,26 +71,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.config:
-        config = DaemonConfig.from_file(args.config)
-    else:
-        config = DaemonConfig()
-    if args.model:
-        config.model = args.model
+    config = DaemonConfig(
+        model=args.model,
+        chunk_tokens=args.chunk_tokens,
+        max_batch=args.max_batch,
+        cache_dir=args.cache_dir,
+        socket_path=args.socket,
+        tcp_port=args.tcp_port,
+        seed=args.seed,
+    )
     if args.budget:
         config.budget_bytes = parse_budget(args.budget)
-    if args.chunk_tokens:
-        config.chunk_tokens = args.chunk_tokens
-    if args.max_batch:
-        config.max_batch = args.max_batch
-    if args.cache_dir:
-        config.cache_dir = args.cache_dir
-    if args.socket:
-        config.socket_path = args.socket
-    if args.tcp_port is not None:
-        config.tcp_port = args.tcp_port
-    if args.seed is not None:
-        config.seed = args.seed
     daemon = CacheDaemon(config)
     address = daemon.bind()
     print(f"listening on {address}", flush=True)
@@ -124,14 +114,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     )
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            if "traces" in report:
-                for mode, events in sorted(report["traces"].items()):
-                    for event in events:
-                        fh.write(json.dumps({"mode": mode, **event}, sort_keys=True) + "\n")
-            else:
-                for mode in ("sequential", "batched"):
-                    for event in report[mode]["trace"]:
-                        fh.write(json.dumps({"mode": mode, **event}, sort_keys=True) + "\n")
+            for mode, events in report["traces"].items():
+                for event in events:
+                    fh.write(json.dumps({"mode": mode, **event}, sort_keys=True) + "\n")
     if args.plot:
         if "phases" not in report:
             print("error: --plot requires a phased scenario", file=sys.stderr)
@@ -139,59 +124,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         Path(args.plot).write_text(reuse_bar_svg(report), encoding="utf-8")
     if args.format == "json":
         slim = {k: v for k, v in report.items() if k != "traces"}
-        if args.name == "staggered":
-            slim = {
-                **{k: v for k, v in report.items() if k not in ("sequential", "batched")},
-                "sequential": {k: v for k, v in report["sequential"].items() if k != "trace"},
-                "batched": {k: v for k, v in report["batched"].items() if k != "trace"},
-            }
         print(json.dumps(slim, sort_keys=True))
     else:
         print(render_report(report))
     checks = report["checks"]
     return 0 if all(checks.values()) else 1
-
-
-def _cmd_bench_codec(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .codec import dequantize_tensor, quantize_tensor
-    from .model_spec import GLOBAL, ModelCacheSpec
-
-    spec = ModelCacheSpec(
-        model_id="bench",
-        num_layers=1,
-        num_kv_heads=args.heads,
-        num_query_heads=args.heads,
-        k_head_dim=args.dim,
-        v_head_dim=args.dim,
-        layer_kinds=(GLOBAL,),
-        block_tokens=256,
-        group_size=args.group,
-    )
-    rng = np.random.default_rng(args.seed)
-    tensor = rng.standard_normal((args.heads, args.tokens, args.dim)).astype(np.float32)
-    start = time.perf_counter()
-    q = quantize_tensor(tensor, spec)
-    mid = time.perf_counter()
-    dequantize_tensor(q)
-    end = time.perf_counter()
-    elements = tensor.size
-    print(
-        json.dumps(
-            {
-                "elements": elements,
-                "quantize_s": round(mid - start, 6),
-                "dequantize_s": round(end - mid, 6),
-                "quantize_melem_per_s": round(elements / (mid - start) / 1e6, 1),
-                "dequantize_melem_per_s": round(elements / (end - mid) / 1e6, 1),
-                "q4_bytes": q.nbytes,
-                "fp32_bytes": tensor.nbytes,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,16 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("serve", help="run the cache daemon")
-    p.add_argument("--config", default="")
-    p.add_argument("--model", default="")
-    p.add_argument("--budget", default="")
-    p.add_argument("--chunk-tokens", type=int, default=0)
-    p.add_argument("--max-batch", type=int, default=0)
-    p.add_argument("--cache-dir", default="")
-    p.add_argument("--socket", default="")
-    p.add_argument("--tcp-port", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    defaults = DaemonConfig()
+    p = sub.add_parser(
+        "serve", help="run the cache daemon; @FILE reads flags from FILE, one per line",
+        fromfile_prefix_chars="@",
+    )
+    p.add_argument("--model", default=defaults.model)
+    p.add_argument("--budget", default="", help="default 10.2GB")
+    p.add_argument("--chunk-tokens", type=int, default=defaults.chunk_tokens)
+    p.add_argument("--max-batch", type=int, default=defaults.max_batch)
+    p.add_argument("--cache-dir", default=defaults.cache_dir)
+    p.add_argument("--socket", default=defaults.socket_path)
+    p.add_argument("--tcp-port", type=int, default=defaults.tcp_port)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("client", help="send one request to a running daemon")
@@ -244,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default="", help="write the event trace as JSON lines")
     p.add_argument("--plot", default="", help="write an SVG reuse chart")
     p.set_defaults(func=_cmd_scenario)
-
-    p = sub.add_parser("bench-codec", help="codec throughput micro-benchmark")
-    p.add_argument("--tokens", type=int, default=4096)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--group", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_codec)
 
     return parser
 

@@ -5,13 +5,14 @@ and receive exactly one ``{"id", "ok", "result"|"error"}`` response.
 Streaming events (tokens etc.) arrive as unsolicited ``{"event": ...}``
 lines on the connection that submitted the request.
 
-Threading: one accept thread, one reader thread per client, and one lane:
-a single-worker executor that owns the scheduler, the engine and the
-pool. A reader hands each op to the lane and waits for its result; the
-lane runs ops strictly one at a time, so at most one engine operation is
-ever in flight no matter how many clients connect, and neither the
-scheduler nor the pool takes a lock. The lane and the readers write to
-the same sockets, so each connection's writes hold its own lock.
+Threading: ``serve_forever``'s thread accepts, one reader thread per
+client reads, and one lane, a single-worker executor, owns the
+scheduler, the engine and the pool. A reader hands each op to the lane
+and waits for its result; the lane runs ops strictly one at a time, so
+at most one engine operation is ever in flight no matter how many
+clients connect, and neither the scheduler nor the pool takes a lock.
+The lane and the readers write to the same sockets, so each
+connection's writes hold its own lock.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .block_pool import DEFAULT_BUDGET_BYTES, BlockPool
 from .blocks import CacheState
 from .capacity import capacity_table, parse_budget, parse_contexts
 from .engine import SyntheticEngine
-from .errors import AgentKVError, InvalidArgumentError, NotFoundError, ShuttingDownError
+from .errors import AgentKVError, NotFoundError, ShuttingDownError
 from .model_spec import preset
 from .prefix import match
 from .scheduler import Event, EventKind, Request, Scheduler
@@ -49,37 +50,6 @@ class DaemonConfig:
     socket_path: str = ""
     tcp_port: int = 0
     seed: int = 0
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> DaemonConfig:
-        """Parse a key=value config file ('#' starts a comment)."""
-        config = cls()
-        for raw_line in Path(path).read_text().splitlines():
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidArgumentError(f"bad config line: {raw_line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "model":
-                config.model = value
-            elif key == "budget":
-                config.budget_bytes = parse_budget(value)
-            elif key == "chunk_tokens":
-                config.chunk_tokens = int(value)
-            elif key == "max_batch":
-                config.max_batch = int(value)
-            elif key == "cache_dir":
-                config.cache_dir = value
-            elif key == "socket":
-                config.socket_path = value
-            elif key == "tcp_port":
-                config.tcp_port = int(value)
-            elif key == "seed":
-                config.seed = int(value)
-            else:
-                raise InvalidArgumentError(f"unknown config key {key!r}")
-        return config
 
     def resolve_socket(self) -> str:
         return self.socket_path or os.environ.get(SOCKET_ENV, "")
@@ -119,7 +89,6 @@ class CacheDaemon:
             max_batch=config.max_batch,
         )
         self._lane = ThreadPoolExecutor(max_workers=1)
-        self._stop = threading.Event()
         self._listener: socket.socket | None = None
         self._submitters: dict[str, _Connection] = {}
 
@@ -336,15 +305,6 @@ class CacheDaemon:
                        "message": f"line exceeds {MAX_LINE_BYTES} bytes"}}
         )
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            conn = _Connection(client)
-            threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
-
     def bind(self) -> str:
         """Bind the listening socket; returns its address for clients."""
         socket_path = self.config.resolve_socket()
@@ -365,20 +325,27 @@ class CacheDaemon:
         return address
 
     def serve_forever(self) -> None:
-        """Run until shutdown; call bind() first."""
+        """Accept clients until shutdown; call bind() first."""
         if self._listener is None:
             self.bind()
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-        self._stop.wait()
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:  # shutdown() shut the listener
+                return
+            conn = _Connection(client)
+            threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
 
     def shutdown(self) -> None:
         self._lane.shutdown(wait=False, cancel_futures=True)
-        self._stop.set()
         if self._listener is not None:
             try:
-                self._listener.close()
-            except OSError:
+                # close() alone leaves a blocked accept() waiting, and
+                # the listener accepting
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already shut down
                 pass
+            self._listener.close()
 
 
 class DaemonClient:

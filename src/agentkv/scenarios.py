@@ -282,7 +282,7 @@ def _run_staggered(
     chunk: int,
     batched: bool,
     budget: int,
-) -> dict:
+) -> tuple[dict, list[dict]]:
     if cache_dir.exists():
         shutil.rmtree(cache_dir)
     pool = BlockPool(spec, cache_dir, budget_bytes=budget)
@@ -306,7 +306,6 @@ def _run_staggered(
     events += sched.drain()
     chunks = recorder.chunks
     switches = sum(1 for x, y in zip(chunks, chunks[1:]) if x != y)
-    trace = [e.to_json_dict() for e in events]
     return {
         "mode": "batched" if batched else "sequential",
         "chunk_order": chunks,
@@ -314,8 +313,7 @@ def _run_staggered(
         "interleaved": switches > 1,
         "prefill_tokens": recorder.counters.prefill_tokens,
         "decode_steps": recorder.counters.decode_steps,
-        "trace": trace,
-    }
+    }, [e.to_json_dict() for e in events]
 
 
 def run_scenario(
@@ -358,8 +356,12 @@ def run_scenario(
         }
         return report
     if name == "staggered":
-        seq = _run_staggered(spec, work_dir / "sequential", seed, chunk_tokens, False, budget)
-        bat = _run_staggered(spec, work_dir / "batched", seed, chunk_tokens, True, budget)
+        seq, seq_trace = _run_staggered(
+            spec, work_dir / "sequential", seed, chunk_tokens, False, budget
+        )
+        bat, bat_trace = _run_staggered(
+            spec, work_dir / "batched", seed, chunk_tokens, True, budget
+        )
         return {
             "scenario": "staggered",
             "seed": seed,
@@ -367,6 +369,7 @@ def run_scenario(
             "chunk_tokens": chunk_tokens,
             "sequential": seq,
             "batched": bat,
+            "traces": {"sequential": seq_trace, "batched": bat_trace},
             "checks": {
                 "same_total_prefill": seq["prefill_tokens"] == bat["prefill_tokens"],
                 "batched_interleaves": bat["interleaved"],
@@ -400,7 +403,7 @@ def render_report(report: dict) -> str:
                 f" decode_steps={side['decode_steps']}"
                 f" switches={side['chunk_switches']}"
                 f" interleaved={side['interleaved']}"
-                f" events={len(side['trace'])}"
+                f" events={len(report['traces'][mode])}"
             )
     lines.append("checks: " + json.dumps(report["checks"], sort_keys=True))
     return "\n".join(lines)

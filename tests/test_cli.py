@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from agentkv import cli as cli_module
 from agentkv.cli import main
-from agentkv.block_pool import BlockPool
+from agentkv.block_pool import DEFAULT_BUDGET_BYTES, BlockPool
+from agentkv.daemon import DaemonConfig
 from agentkv.persistence import save_agent
 
 from .helpers import append_random, tiny_spec
@@ -105,12 +107,44 @@ def test_scenario_unknown_name_usage_error(capsys):
         main(["scenario", "nope"])
 
 
-def test_bench_codec_reports_throughput(capsys):
-    code, out, _ = run_cli(capsys, "bench-codec", "--tokens", "64")
-    assert code == 0
-    data = json.loads(out)
-    assert data["elements"] == 8 * 64 * 256
-    assert data["q4_bytes"] < data["fp32_bytes"]
+@pytest.fixture
+def served_configs(monkeypatch):
+    """Configs that `serve` would start a daemon with; no daemon starts."""
+    configs = []
+
+    class FakeDaemon:
+        def __init__(self, config):
+            configs.append(config)
+
+        def bind(self):
+            return "fake-address"
+
+        def serve_forever(self):
+            pass
+
+    monkeypatch.setattr(cli_module, "CacheDaemon", FakeDaemon)
+    return configs
+
+
+def test_serve_config_comes_from_flags_and_flag_files(capsys, tmp_path, served_configs):
+    assert run_cli(capsys, "serve")[0] == 0
+    assert served_configs[-1] == DaemonConfig()
+    assert served_configs[-1].budget_bytes == DEFAULT_BUDGET_BYTES
+
+    flags = tmp_path / "daemon.args"
+    flags.write_text("--model=gemma3-12b\n--max-batch=4\n--seed=9\n")
+    assert run_cli(capsys, "serve", f"@{flags}", "--seed", "5")[0] == 0
+    assert served_configs[-1] == DaemonConfig(model="gemma3-12b", max_batch=4, seed=5)
+
+    assert run_cli(capsys, "serve", "--budget", "1GB")[0] == 0
+    assert served_configs[-1].budget_bytes == 2**30
+
+
+def test_serve_bad_budget_exits_1(capsys, served_configs):
+    code, _, err = run_cli(capsys, "serve", "--budget", "nonsense")
+    assert code == 1
+    assert "InvalidArgumentError" in err
+    assert served_configs == []
 
 
 def spawn_daemon(tmp_path, extra=()):

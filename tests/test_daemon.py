@@ -3,7 +3,9 @@
 import gc
 import json
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -253,28 +255,6 @@ def test_socket_path_from_environment(tmp_path, monkeypatch):
     assert config.resolve_socket() == ""
 
 
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "daemon.conf"
-    path.write_text(
-        """
-# cache daemon settings
-model = gemma3-12b
-budget = 1GB
-chunk_tokens = 128
-max_batch = 4
-cache_dir = /tmp/kv
-seed = 9
-"""
-    )
-    config = DaemonConfig.from_file(path)
-    assert config.model == "gemma3-12b"
-    assert config.budget_bytes == 2**30
-    assert config.chunk_tokens == 128
-    assert config.max_batch == 4
-    assert config.cache_dir == "/tmp/kv"
-    assert config.seed == 9
-
-
 def test_shutdown_op(tmp_path):
     config = DaemonConfig(
         model="llama31-8b",
@@ -290,6 +270,75 @@ def test_shutdown_op(tmp_path):
     assert response["ok"]
     thread.join(timeout=5)
     assert not thread.is_alive()
+    client.close()
+
+
+class _CountingListener:
+    """Delegates to a listening socket; releases a semaphore on each accept."""
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.entered = threading.Semaphore(0)
+        self.thread_id = 0
+
+    def accept(self):
+        self.thread_id = threading.get_native_id()
+        self.entered.release()
+        return self.sock.accept()
+
+    def shutdown(self, how):
+        return self.sock.shutdown(how)
+
+    def close(self):
+        return self.sock.close()
+
+    def fileno(self):
+        return self.sock.fileno()
+
+
+def _wait_until_blocked_on(thread_id: int, fd: int) -> None:
+    """Return once the thread sits in a system call on fd.
+
+    The thread gives its signal before it enters the call, and it can be
+    preempted in between; Linux's /proc/<tid>/syscall shows when it is in.
+    Without that file this returns at once.
+    """
+    path = Path(f"/proc/self/task/{thread_id}/syscall")
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            fields = path.read_text().split()
+        except OSError:
+            return
+        if len(fields) > 1 and fields[0] != "running" and int(fields[1], 16) == fd:
+            return
+    raise AssertionError(f"thread {thread_id} never blocked on fd {fd}")
+
+
+def test_shutdown_stops_accepting(tmp_path):
+    config = DaemonConfig(
+        model="llama31-8b",
+        cache_dir=str(tmp_path / "cache"),
+        socket_path=str(tmp_path / "s.sock"),
+    )
+    d = CacheDaemon(config)
+    address = d.bind()
+    listener = d._listener = _CountingListener(d._listener)
+    before = set(threading.enumerate())
+    thread = threading.Thread(target=d.serve_forever, daemon=True)
+    thread.start()
+    client = DaemonClient(address)
+    # the second accept starts only once the first has handed client over
+    for _ in range(2):
+        assert listener.entered.acquire(timeout=5)
+    _wait_until_blocked_on(listener.thread_id, listener.fileno())
+    assert client.request("shutdown")["ok"]
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert len(left) == 1 and "_reader_loop" in left[0], left
+    with pytest.raises(ConnectionRefusedError):
+        DaemonClient(address)
     client.close()
 
 

@@ -55,7 +55,7 @@ def test_staggered_checks(tmp_path):
     assert all(report["checks"].values()), report["checks"]
     assert report["batched"]["chunk_switches"] > report["sequential"]["chunk_switches"]
     # traces carry the streaming events
-    kinds = {e["kind"] for e in report["batched"]["trace"]}
+    kinds = {e["kind"] for e in report["traces"]["batched"]}
     assert "first_token" in kinds and "done" in kinds
 
 
