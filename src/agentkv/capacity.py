@@ -40,7 +40,7 @@ class CapacityRow:
     q4_agents_fit: int | None
 
 
-def _fits(budget_bytes: float, per_agent: int) -> int | None:
+def _fits(budget_bytes: int, per_agent: int) -> int | None:
     if per_agent == 0:
         return None
     return math.floor(budget_bytes / per_agent)
@@ -48,7 +48,7 @@ def _fits(budget_bytes: float, per_agent: int) -> int | None:
 
 def capacity_table(
     spec: ModelCacheSpec,
-    budget_bytes: float,
+    budget_bytes: int,
     contexts: list[int] | tuple[int, ...] = DEFAULT_CONTEXTS,
     block_rounded: bool = False,
 ) -> list[CapacityRow]:
@@ -76,20 +76,17 @@ def capacity_table(
     return rows
 
 
-def parse_budget(text: str) -> float:
-    """Parse '10.2GB', '512MB', or a raw byte count (binary units)."""
+def parse_budget(text: str) -> int:
+    """Parse '10.2GB', '512MB', or a raw byte count (binary units), to whole bytes.
+
+    Rounds to the nearest byte, so '10.2GB' is ``DEFAULT_BUDGET_BYTES``.
+    """
     cleaned = text.strip().upper().replace(" ", "")
     units = {"GB": 2**30, "GIB": 2**30, "MB": 2**20, "MIB": 2**20, "KB": 2**10, "B": 1}
-    for suffix, factor in units.items():
-        if cleaned.endswith(suffix):
-            number = cleaned[: -len(suffix)]
-            try:
-                return float(number) * factor
-            except ValueError:
-                raise InvalidArgumentError(f"cannot parse budget {text!r}") from None
+    suffix = next((unit for unit in units if cleaned.endswith(unit)), "")
     try:
-        return float(cleaned)
-    except ValueError:
+        return round(float(cleaned[: len(cleaned) - len(suffix)]) * units.get(suffix, 1))
+    except (ValueError, OverflowError):  # also 'nan' and 'inf'
         raise InvalidArgumentError(f"cannot parse budget {text!r}") from None
 
 
@@ -106,7 +103,7 @@ def parse_contexts(text: str) -> list[int]:
             item = item[:-1]
         try:
             out.append(int(float(item) * factor))
-        except ValueError:
+        except (ValueError, OverflowError):  # also 'nan' and 'inf'
             raise InvalidArgumentError(f"cannot parse context {item!r}") from None
     if not out:
         raise InvalidArgumentError("no context lengths given")
@@ -127,7 +124,7 @@ def _gb(nbytes: int) -> str:
     return f"{nbytes / GIB:.2f}"
 
 
-def render_table(spec: ModelCacheSpec, budget_bytes: float, rows: list[CapacityRow]) -> str:
+def render_table(spec: ModelCacheSpec, budget_bytes: int, rows: list[CapacityRow]) -> str:
     lines = [
         f"model: {spec.model_id}   budget: {budget_bytes / GIB:.2f} GB",
         f"{'Context':>8} {'FP16/agent GB':>14} {'Q4/agent GB':>12} {'FP16 fits':>10} {'Q4 fits':>8}",
@@ -154,7 +151,7 @@ def render_tsv(rows: list[CapacityRow]) -> str:
     return "\n".join(lines)
 
 
-def render_json(spec: ModelCacheSpec, budget_bytes: float, rows: list[CapacityRow]) -> str:
+def render_json(spec: ModelCacheSpec, budget_bytes: int, rows: list[CapacityRow]) -> str:
     return json.dumps(
         {
             "model": spec.model_id,

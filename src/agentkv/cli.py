@@ -110,7 +110,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         model=args.model,
         chunk_tokens=args.chunk_tokens,
         max_batch=args.max_batch,
-        budget_bytes=int(parse_budget(args.budget)) if args.budget else None,
+        budget_bytes=parse_budget(args.budget) if args.budget else None,
     )
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -129,6 +129,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(render_report(report))
     checks = report["checks"]
     return 0 if all(checks.values()) else 1
+
+
+def _port(text: str) -> int:
+    """The --tcp-port type: 0-65535, where 0 picks a free port."""
+    if text.isdecimal() and int(text) <= 65535:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not a port in 0-65535")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=defaults.max_batch)
     p.add_argument("--cache-dir", default=defaults.cache_dir)
     p.add_argument("--socket", default=defaults.socket_path)
-    p.add_argument("--tcp-port", type=int, default=defaults.tcp_port)
+    p.add_argument("--tcp-port", type=_port, default=defaults.tcp_port)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=_cmd_serve)
 

@@ -5,31 +5,32 @@ and receive exactly one ``{"id", "ok", "result"|"error"}`` response.
 Streaming events (tokens etc.) arrive as unsolicited ``{"event": ...}``
 lines on the connection that submitted the request.
 
-Threading: ``serve_forever``'s thread accepts, one reader thread per
-client reads, and one lane, a single-worker executor, owns the
-scheduler, the engine and the pool. A reader hands each op to the lane
-and waits for its result; the lane runs ops strictly one at a time, so
-at most one engine operation is ever in flight no matter how many
-clients connect, and neither the scheduler nor the pool takes a lock.
-The lane and the readers write to the same sockets, so each
-connection's writes hold its own lock.
+Threading: two threads, however many clients connect. The I/O thread,
+which ``serve_forever`` starts, runs one asyncio event loop that accepts,
+reads request lines and alone writes to sockets. The lane, a
+single-worker executor, owns the scheduler, the engine and the pool,
+runs ops strictly one at a time and never touches a socket: it hands
+each line to the loop. So neither the scheduler nor the pool takes a
+lock. A connection has one request in flight, and a client that leaves
+more than ``UNREAD_CAP_BYTES`` unread is disconnected instead of
+stalling the lane.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import socket
 import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .block_pool import DEFAULT_BUDGET_BYTES, BlockPool
-from .blocks import CacheState
 from .capacity import capacity_table, parse_budget, parse_contexts
 from .engine import SyntheticEngine
-from .errors import AgentKVError, NotFoundError, ShuttingDownError
+from .errors import AgentKVError, ShuttingDownError
 from .model_spec import preset
 from .prefix import match
 from .scheduler import Event, EventKind, Request, Scheduler
@@ -38,12 +39,13 @@ __all__ = ["CacheDaemon", "DaemonClient", "DaemonConfig", "SOCKET_ENV"]
 
 SOCKET_ENV = "AGENTKV_SOCKET"
 MAX_LINE_BYTES = 16 * 2**20
+UNREAD_CAP_BYTES = 4 * MAX_LINE_BYTES  # output a client may leave unread
 
 
 @dataclass
 class DaemonConfig:
     model: str = "llama31-8b"
-    budget_bytes: float = DEFAULT_BUDGET_BYTES
+    budget_bytes: int = DEFAULT_BUDGET_BYTES
     chunk_tokens: int = 512
     max_batch: int = 2
     cache_dir: str = "agentkv-cache"
@@ -55,21 +57,28 @@ class DaemonConfig:
         return self.socket_path or os.environ.get(SOCKET_ENV, "")
 
 
+def _error(code: str, message: str) -> dict:
+    return {"ok": False, "error": {"code": code, "message": message}}
+
+
 class _Connection:
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.write_lock = threading.Lock()
-        self.alive = True
+    """One client's stream; only the I/O thread writes to it."""
+
+    def __init__(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._loop = asyncio.get_running_loop()
 
     def send_line(self, obj: dict) -> None:
+        """Queue one line for the I/O thread to write; safe from any thread."""
         data = (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
-        with self.write_lock:
-            if not self.alive:
-                return
-            try:
-                self.sock.sendall(data)
-            except OSError:
-                self.alive = False
+        self._loop.call_soon_threadsafe(self._write, data)
+
+    def _write(self, data: bytes) -> None:
+        if self.transport.is_closing():
+            return
+        self.transport.write(data)
+        if self.transport.get_write_buffer_size() > UNREAD_CAP_BYTES:
+            self.transport.abort()  # the client stopped reading
 
 
 class CacheDaemon:
@@ -78,9 +87,7 @@ class CacheDaemon:
     def __init__(self, config: DaemonConfig) -> None:
         self.config = config
         self.spec = preset(config.model)
-        self.pool = BlockPool(
-            self.spec, config.cache_dir, budget_bytes=int(config.budget_bytes)
-        )
+        self.pool = BlockPool(self.spec, config.cache_dir, budget_bytes=config.budget_bytes)
         self.engine = SyntheticEngine(self.spec, seed=config.seed)
         self.scheduler = Scheduler(
             self.pool,
@@ -91,22 +98,21 @@ class CacheDaemon:
         self._lane = ThreadPoolExecutor(max_workers=1)
         self._listener: socket.socket | None = None
         self._submitters: dict[str, _Connection] = {}
+        # shutdown() cancels it, from any thread and any number of times;
+        # that tells the I/O thread to close the listener
+        self._stop: Future = Future()
 
     # -- the lane ----------------------------------------------------------------
 
-    def _on_worker(self, fn) -> None:
-        """Run fn on the lane, wait, and re-raise its error here.
+    def _on_worker(self, fn) -> Future:
+        """Queue fn on the lane and return its future.
 
-        Raises ShuttingDownError when the lane no longer takes work, or
-        when shutdown cancelled fn before it started.
+        Raises ShuttingDownError when the lane no longer takes work. A
+        future that shutdown cancels before it starts ends cancelled.
         """
         try:
-            future = self._lane.submit(fn)
+            return self._lane.submit(fn)
         except RuntimeError as exc:  # the lane was shut down
-            raise ShuttingDownError("the daemon is shutting down") from exc
-        try:
-            future.result()
-        except CancelledError as exc:
             raise ShuttingDownError("the daemon is shutting down") from exc
 
     # -- event routing ---------------------------------------------------------
@@ -167,9 +173,7 @@ class CacheDaemon:
     def _op_match(self, conn: _Connection, params: dict) -> dict:
         agent_id = str(params["agent_id"])
         prompt = str(params["prompt"])
-        if self.pool.agent_state(agent_id) is CacheState.COLD:
-            raise NotFoundError(f"agent {agent_id!r} has no cache")
-        cache = self.pool.get_cache(agent_id)
+        cache = self.pool.get_cache(agent_id)  # NotFoundError for an unknown agent
         return {
             "match": match(cache, prompt, self.spec.block_tokens).to_json_dict(),
             "system_events": self._route_events(self.scheduler.drain()),
@@ -210,100 +214,96 @@ class CacheDaemon:
         "capacity": _op_capacity,
     }
 
-    def _dispatch(self, conn: _Connection, message: dict) -> None:
+    def _dispatch(self, conn: _Connection, message: dict) -> Future | None:
+        """Answer message, or queue its op on the lane and return the future.
+
+        Runs on the I/O thread. The lane sends a queued op's reply, or the
+        future's done-callback does if shutdown cancels the op.
+        """
         msg_id = message.get("id")
         op = message.get("op")
         params = message.get("params") or {}
         if not isinstance(msg_id, str) or not isinstance(op, str) or not isinstance(params, dict):
-            conn.send_line(
-                {
-                    "id": msg_id if isinstance(msg_id, str) else None,
-                    "ok": False,
-                    "error": {"code": "invalid_request",
-                              "message": "need string id, string op, object params"},
-                }
-            )
-            return
+            conn.send_line({"id": msg_id if isinstance(msg_id, str) else None,
+                            **_error("invalid_request",
+                                     "need string id, string op, object params")})
+            return None
         if op == "shutdown":
             conn.send_line({"id": msg_id, "ok": True, "result": {}})
             self.shutdown()
-            return
+            return None
         handler = self._OPS.get(op)
         if handler is None:
-            conn.send_line(
-                {"id": msg_id, "ok": False,
-                 "error": {"code": "unknown_op", "message": f"unknown op {op!r}"}}
-            )
-            return
-        out: dict = {}
+            conn.send_line({"id": msg_id, **_error("unknown_op", f"unknown op {op!r}")})
+            return None
 
-        def work():
-            out["result"] = handler(self, conn, params)
+        def work():  # on the lane: the reply follows every event line the op sent
+            try:
+                answer = {"ok": True, "result": handler(self, conn, params)}
+            except AgentKVError as exc:
+                answer = _error(exc.code, str(exc))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # bad params
+                answer = _error("invalid_request", repr(exc))
+            conn.send_line({"id": msg_id, **answer})
+
+        def if_cancelled(future: Future) -> None:
+            if future.cancelled():  # shutdown dropped it from the lane's queue
+                conn.send_line({"id": msg_id, **_error(ShuttingDownError.code,
+                                                       "the daemon is shutting down")})
 
         try:
-            self._on_worker(work)
-            reply = {"ok": True, "result": out["result"]}
-        except AgentKVError as exc:
-            reply = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
-        except (KeyError, TypeError, ValueError) as exc:
-            reply = {"ok": False, "error": {"code": "invalid_request", "message": repr(exc)}}
-        conn.send_line({"id": msg_id, **reply})
+            future = self._on_worker(work)
+        except ShuttingDownError as exc:
+            conn.send_line({"id": msg_id, **_error(exc.code, str(exc))})
+            return None
+        future.add_done_callback(if_cancelled)
+        return future
 
-    # -- socket plumbing ---------------------------------------------------------
+    # -- the I/O thread ------------------------------------------------------------
 
-    def _reader_loop(self, conn: _Connection) -> None:
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter) -> None:
         # Read until the client hangs up, not until shutdown: a request
         # that arrives after shutdown still gets its shutting_down reply.
-        buffer = bytearray()
-        sock = conn.sock
-        while True:
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                break
-            if not data:
-                break
-            scan = len(buffer)  # earlier bytes hold no newline
-            buffer += data
-            start = 0
-            while (end := buffer.find(b"\n", scan)) != -1:
-                line = buffer[start:end]
-                start = scan = end + 1
+        conn = _Connection(writer.transport)
+        try:
+            while True:
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.LimitOverrunError:
+                    conn.send_line({"id": None, **_error(
+                        "line_too_long", f"line exceeds {MAX_LINE_BYTES} bytes")})
+                    return
+                except (asyncio.IncompleteReadError, OSError):  # the client hung up
+                    return
                 if not line.strip():
                     continue
-                if len(line) > MAX_LINE_BYTES:
-                    self._line_too_long(conn)
-                    conn.alive = False
-                    sock.close()
-                    return
                 try:
                     message = json.loads(line.decode("utf-8"))
                     if not isinstance(message, dict):
                         raise ValueError("not an object")
-                except (UnicodeDecodeError, ValueError) as exc:
-                    conn.send_line(
-                        {"id": None, "ok": False,
-                         "error": {"code": "bad_json", "message": str(exc)}}
-                    )
+                except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+                    conn.send_line({"id": None, **_error("bad_json", str(exc))})
                     continue
-                self._dispatch(conn, message)
-            del buffer[:start]
-            if len(buffer) > MAX_LINE_BYTES:
-                self._line_too_long(conn)
-                break
-        conn.alive = False
-        try:
-            sock.close()
-        except OSError:
-            pass
+                future = self._dispatch(conn, message)
+                if future is not None:
+                    # wait() returns, not raises, when shutdown cancels it
+                    await asyncio.wait([asyncio.wrap_future(future)])
+        finally:  # call_soon: close after the lines already queued
+            asyncio.get_running_loop().call_soon(writer.close)
 
-    @staticmethod
-    def _line_too_long(conn: _Connection) -> None:
-        conn.send_line(
-            {"id": None, "ok": False,
-             "error": {"code": "line_too_long",
-                       "message": f"line exceeds {MAX_LINE_BYTES} bytes"}}
-        )
+    async def _serve(self, closed: threading.Event) -> None:
+        try:
+            server = await asyncio.start_server(
+                self._serve_connection, sock=self._listener, limit=MAX_LINE_BYTES
+            )
+            await asyncio.wait([asyncio.wrap_future(self._stop)])
+            server.close()  # closes the listener: a connect is now refused
+        finally:
+            closed.set()
+        # keep answering open connections; end with the last of them
+        while tasks := asyncio.all_tasks() - {asyncio.current_task()}:
+            await asyncio.wait(tasks)
 
     def bind(self) -> str:
         """Bind the listening socket; returns its address for clients."""
@@ -325,27 +325,21 @@ class CacheDaemon:
         return address
 
     def serve_forever(self) -> None:
-        """Accept clients until shutdown; call bind() first."""
+        """Start the I/O thread; return once shutdown closed the listener."""
         if self._listener is None:
             self.bind()
-        while True:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:  # shutdown() shut the listener
-                return
-            conn = _Connection(client)
-            threading.Thread(target=self._reader_loop, args=(conn,), daemon=True).start()
+        closed = threading.Event()
+        threading.Thread(target=asyncio.run, args=(self._serve(closed),),
+                         name="agentkv-io", daemon=True).start()
+        closed.wait()
 
     def shutdown(self) -> None:
+        """Refuse new work and have serve_forever close the listener.
+
+        Connections still open keep being read and answered.
+        """
         self._lane.shutdown(wait=False, cancel_futures=True)
-        if self._listener is not None:
-            try:
-                # close() alone leaves a blocked accept() waiting, and
-                # the listener accepting
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:  # already shut down
-                pass
-            self._listener.close()
+        self._stop.cancel()
 
 
 class DaemonClient:

@@ -91,14 +91,14 @@ class SyntheticEngine:
     always produce identical outputs, independent of chunk boundaries.
     """
 
+    token_chars = 4  # the tokenizer's width; token_text is exactly this wide
     _TOKEN_TAG = np.uint64(0x7045)
     _K_TAG = np.uint64(0x4B)
     _V_TAG = np.uint64(0x56)
 
-    def __init__(self, spec: ModelCacheSpec, seed: int = 0, token_chars: int = 4) -> None:
+    def __init__(self, spec: ModelCacheSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        self.token_chars = token_chars
         self.counters = EngineCounters()
         self._busy = False
         self._busy_lock = threading.Lock()

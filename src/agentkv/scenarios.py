@@ -58,7 +58,7 @@ def _spec_for(model: str) -> ModelCacheSpec:
 
 
 def _gen_text(rng: np.random.Generator, n_chars: int) -> str:
-    """Seeded word salad, padded to a multiple of 4 characters."""
+    """Seeded word salad, padded to a whole number of tokens."""
     parts = []
     length = 0
     while length < n_chars:
@@ -66,7 +66,7 @@ def _gen_text(rng: np.random.Generator, n_chars: int) -> str:
         parts.append(word + " ")
         length += len(word) + 1
     text = "".join(parts)[:n_chars]
-    if pad := (-len(text)) % 4:
+    if pad := (-len(text)) % SyntheticEngine.token_chars:
         text += "." * pad
     return text
 

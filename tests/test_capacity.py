@@ -74,18 +74,21 @@ def test_block_rounded_variant():
 
 
 def test_parse_budget():
-    assert parse_budget("10.2GB") == 10.2 * 2**30
+    assert parse_budget("10.2GB") == round(10.2 * 2**30)  # whole bytes
+    assert isinstance(parse_budget("10.2GB"), int)
     assert parse_budget("512MB") == 512 * 2**20
     assert parse_budget("1024") == 1024
-    with pytest.raises(InvalidArgumentError):
-        parse_budget("lots")
+    for text in ["lots", "infGB"]:
+        with pytest.raises(InvalidArgumentError):
+            parse_budget(text)
 
 
 def test_parse_contexts():
     assert parse_contexts("4k,8k,16k,32k") == [4096, 8192, 16384, 32768]
     assert parse_contexts("300, 1k") == [300, 1024]
-    with pytest.raises(InvalidArgumentError):
-        parse_contexts("")
+    for text in ["", "infk"]:
+        with pytest.raises(InvalidArgumentError):
+            parse_contexts(text)
 
 
 def test_render_json_round_trips():

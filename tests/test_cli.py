@@ -139,11 +139,25 @@ def test_serve_config_comes_from_flags_and_flag_files(capsys, tmp_path, served_c
     assert run_cli(capsys, "serve", "--budget", "1GB")[0] == 0
     assert served_configs[-1].budget_bytes == 2**30
 
+    # the documented default written out is the default, to the byte
+    assert run_cli(capsys, "serve", "--budget", "10.2GB")[0] == 0
+    assert served_configs[-1].budget_bytes == DEFAULT_BUDGET_BYTES
+
 
 def test_serve_bad_budget_exits_1(capsys, served_configs):
     code, _, err = run_cli(capsys, "serve", "--budget", "nonsense")
     assert code == 1
     assert "InvalidArgumentError" in err
+    assert served_configs == []
+
+
+@pytest.mark.parametrize("port", ["70000", "-1", "http"])
+def test_serve_bad_tcp_port_is_a_usage_error(capsys, served_configs, port):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--tcp-port", port])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--tcp-port" in err
     assert served_configs == []
 
 

@@ -3,9 +3,7 @@
 import gc
 import json
 import threading
-import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -37,6 +35,29 @@ def connect(address):
     return DaemonClient(address, timeout=20.0)
 
 
+@pytest.fixture
+def tiny_daemon(tmp_path, monkeypatch):
+    """A served daemon on a one-layer spec, where decoding costs little."""
+    spec = tiny_spec(layers=1, heads=1, k_dim=8, v_dim=8, block=8, group=8)
+    monkeypatch.setattr(daemon_module, "preset", lambda name: spec)
+    d = CacheDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache"),
+                                 socket_path=str(tmp_path / "t.sock"),
+                                 chunk_tokens=512, max_batch=4))
+    address = d.bind()
+    threading.Thread(target=d.serve_forever, daemon=True).start()
+    yield d, address
+    d.shutdown()
+
+
+def submit_and_stop_reading(address, max_tokens):
+    """A client that submits one long request and never reads again."""
+    silent = DaemonClient(address, timeout=10.0)
+    response = silent.request("submit", {"request_id": "quiet", "agent_id": "quiet",
+                                         "prompt": "word" * 8, "max_tokens": max_tokens})
+    assert response["ok"], response
+    return silent
+
+
 def test_stats_round_trip(daemon):
     _, address = daemon
     client = connect(address)
@@ -64,13 +85,27 @@ def test_unknown_op(daemon):
 def test_malformed_json_keeps_connection_open(daemon):
     _, address = daemon
     client = connect(address)
-    client.send_raw("this is not json\n")
-    message = client._read_line()
-    assert message["ok"] is False
-    assert message["error"]["code"] == "bad_json"
+    for line in ["this is not json", "[" * 100_000]:  # the second nests too deep
+        client.send_raw(line + "\n")
+        message = client._read_line()
+        assert message["ok"] is False
+        assert message["error"]["code"] == "bad_json"
     # connection still usable
     response = client.request("stats")
     assert response["ok"]
+    client.close()
+
+
+def test_bad_params_get_invalid_request(daemon):
+    _, address = daemon
+    client = DaemonClient(address, timeout=5.0)
+    submit = {"request_id": "r", "agent_id": "a", "prompt": "word", "max_tokens": 1}
+    for params in [{}, {**submit, "max_tokens": "many"}, {**submit, "max_tokens": 1e999}]:
+        response = client.request("submit", params)
+        assert response["error"]["code"] == "invalid_request", (params, response)
+    response = client.request("stats", ["not an object"])
+    assert response["error"]["code"] == "invalid_request"
+    assert client.request("stats")["ok"]
     client.close()
 
 
@@ -273,73 +308,27 @@ def test_shutdown_op(tmp_path):
     client.close()
 
 
-class _CountingListener:
-    """Delegates to a listening socket; releases a semaphore on each accept."""
-
-    def __init__(self, sock) -> None:
-        self.sock = sock
-        self.entered = threading.Semaphore(0)
-        self.thread_id = 0
-
-    def accept(self):
-        self.thread_id = threading.get_native_id()
-        self.entered.release()
-        return self.sock.accept()
-
-    def shutdown(self, how):
-        return self.sock.shutdown(how)
-
-    def close(self):
-        return self.sock.close()
-
-    def fileno(self):
-        return self.sock.fileno()
-
-
-def _wait_until_blocked_on(thread_id: int, fd: int) -> None:
-    """Return once the thread sits in a system call on fd.
-
-    The thread gives its signal before it enters the call, and it can be
-    preempted in between; Linux's /proc/<tid>/syscall shows when it is in.
-    Without that file this returns at once.
-    """
-    path = Path(f"/proc/self/task/{thread_id}/syscall")
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline:
-        try:
-            fields = path.read_text().split()
-        except OSError:
-            return
-        if len(fields) > 1 and fields[0] != "running" and int(fields[1], 16) == fd:
-            return
-    raise AssertionError(f"thread {thread_id} never blocked on fd {fd}")
-
-
 def test_shutdown_stops_accepting(tmp_path):
-    config = DaemonConfig(
-        model="llama31-8b",
-        cache_dir=str(tmp_path / "cache"),
-        socket_path=str(tmp_path / "s.sock"),
-    )
-    d = CacheDaemon(config)
+    """Two daemon threads however many clients; a connect after shutdown is refused."""
+    d = CacheDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache"),
+                                 socket_path=str(tmp_path / "s.sock")))
     address = d.bind()
-    listener = d._listener = _CountingListener(d._listener)
     before = set(threading.enumerate())
     thread = threading.Thread(target=d.serve_forever, daemon=True)
     thread.start()
-    client = DaemonClient(address)
-    # the second accept starts only once the first has handed client over
-    for _ in range(2):
-        assert listener.entered.acquire(timeout=5)
-    _wait_until_blocked_on(listener.thread_id, listener.fileno())
-    assert client.request("shutdown")["ok"]
+    clients, started = [], []
+    for _ in range(4):
+        clients.append(DaemonClient(address, timeout=5.0))
+        assert clients[-1].request("stats")["ok"]
+        started.append(set(threading.enumerate()) - before - {thread})
+    assert len(started[0]) == 2 and started[-1] == started[0], started
+    assert clients[0].request("shutdown")["ok"]
     thread.join(timeout=5)
     assert not thread.is_alive()
-    left = [t.name for t in threading.enumerate() if t not in before]
-    assert len(left) == 1 and "_reader_loop" in left[0], left
     with pytest.raises(ConnectionRefusedError):
         DaemonClient(address)
-    client.close()
+    for client in clients:
+        client.close()
 
 
 def test_long_line_in_small_pieces_then_second_request(daemon):
@@ -416,6 +405,55 @@ def test_daemon_keeps_only_in_flight_state(tmp_path, monkeypatch):
     assert growth < 1024 * requests, f"{growth / requests:.0f} bytes per request"
 
 
+def test_client_that_stops_reading_does_not_stall_the_lane(tiny_daemon):
+    """Its token lines fill its socket; other clients' ops still run."""
+    d, address = tiny_daemon
+    silent = submit_and_stop_reading(address, max_tokens=2000)
+    try:
+        runner = DaemonClient(address, timeout=10.0)
+        run = runner.request("run")
+        assert run["ok"], run
+        observer = DaemonClient(address, timeout=10.0)
+        assert observer.request("stats")["ok"]
+        runner.close()
+        observer.close()
+    finally:
+        silent.close()  # a lane stuck writing to it is freed, so teardown ends
+
+
+def test_client_that_leaves_too_much_unread_is_disconnected(tiny_daemon, monkeypatch):
+    d, address = tiny_daemon
+    monkeypatch.setattr(daemon_module, "UNREAD_CAP_BYTES", 64 * 2**10)
+    silent = submit_and_stop_reading(address, max_tokens=2000)
+    try:
+        runner = DaemonClient(address, timeout=10.0)
+        assert runner.request("run")["ok"]
+        assert d._submitters == {}  # the done was routed, then forgotten
+        received = bytearray()
+        while chunk := silent.sock.recv(65536):  # what was sent, then the close
+            received += chunk
+        assert b'"kind":"token"' in received and b'"kind":"done"' not in received
+        assert runner.request("stats")["ok"]
+        runner.close()
+    finally:
+        silent.close()
+
+
+def test_line_cap_is_exact(monkeypatch, request):
+    """A line of exactly the cap is read; one byte more closes the connection."""
+    monkeypatch.setattr(daemon_module, "MAX_LINE_BYTES", 1024)
+    _, address = request.getfixturevalue("tiny_daemon")
+    client = connect(address)
+    for msg_id, size in [("fits", 1024), ("over", 1025)]:
+        line = json.dumps({"id": msg_id, "op": "stats", "params": {}})
+        client.send_raw(line + " " * (size - len(line)) + "\n")
+    assert client._read_line()["id"] == "fits"
+    assert client._read_line()["error"]["code"] == "line_too_long"
+    with pytest.raises(ConnectionError):
+        client._read_line()
+    client.close()
+
+
 def test_drop_of_agent_with_request_in_flight_is_refused(daemon):
     d, address = daemon
     client = connect(address)
@@ -430,7 +468,7 @@ def test_drop_of_agent_with_request_in_flight_is_refused(daemon):
     (done,) = [e for e in client.drain_events() if e["kind"] == "done"]
     assert (done["payload"]["prompt_tokens"], done["payload"]["generated"]) == (24, 2)
     held = {}
-    d._on_worker(lambda: held.update(tokens=d.pool.get_cache("dropee").token_count))
+    d._on_worker(lambda: held.update(tokens=d.pool.get_cache("dropee").token_count)).result()
     assert held["tokens"] == 26
     assert client.request("drop", {"agent_id": "dropee"})["ok"]  # idle now
     client.close()
@@ -450,44 +488,6 @@ def test_request_after_shutdown_gets_shutting_down_reply(tmp_path):
     assert not thread.is_alive()
     response = other.request("stats")
     assert (response["id"], response["ok"]) == ("c2", False)
-    assert response["error"]["code"] == "shutting_down"
-    stopper.close()
-    other.close()
-
-
-def test_reader_held_across_shutdown_still_replies_shutting_down(tmp_path):
-    """A reader that loses the race with shutdown keeps reading its socket.
-
-    The hook holds the reader after its first reply until shutdown has
-    finished and the second request is already on the wire, which is the
-    interleaving that used to close the connection unanswered.
-    """
-    d = CacheDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache"),
-                                 socket_path=str(tmp_path / "s.sock")))
-    held, release = threading.Event(), threading.Event()
-    real_dispatch = d._dispatch
-
-    def dispatch(conn, message):
-        real_dispatch(conn, message)
-        if message.get("id") == "first":
-            held.set()
-            release.wait(10)
-
-    d._dispatch = dispatch
-    address = d.bind()
-    thread = threading.Thread(target=d.serve_forever, daemon=True)
-    thread.start()
-    stopper = DaemonClient(address, timeout=5.0)
-    other = DaemonClient(address, timeout=5.0)
-    assert other.request("stats", msg_id="first")["ok"]
-    assert held.wait(5)
-    assert stopper.request("shutdown")["ok"]
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    other.send_raw(json.dumps({"id": "second", "op": "stats", "params": {}}) + "\n")
-    release.set()
-    response = other._read_line()
-    assert (response["id"], response["ok"]) == ("second", False)
     assert response["error"]["code"] == "shutting_down"
     stopper.close()
     other.close()
@@ -539,7 +539,7 @@ def test_op_waiting_for_the_lane_at_shutdown_gets_shutting_down_reply(tmp_path):
 
 
 def test_one_lane_runs_every_scheduler_pool_and_engine_call(daemon):
-    """Four clients at once: one thread, not a reader, makes every call."""
+    """Four clients at once: one thread, not the I/O thread, makes every call."""
     d, address = daemon
     lane_calls = []  # (method, thread id)
     readers = set()
@@ -599,7 +599,7 @@ def test_one_lane_runs_every_scheduler_pool_and_engine_call(daemon):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in clients)
     assert failures == []
-    assert len(readers) == 4
+    assert len(readers) == 1  # the I/O thread
     lanes = {ident for _, ident in lane_calls}
     assert len(lanes) == 1 and lanes.isdisjoint(readers | {threading.get_ident()})
     names = {name for name, _ in lane_calls}
